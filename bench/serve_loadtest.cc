@@ -72,7 +72,6 @@ gkm::serve::ServerOptions Options(const std::string& base,
   opts.params.graph.seed = 17;
   opts.params.graph.shards = 2;
   opts.batch_policy.max_batch = 32;
-  opts.batch_policy.max_delay_us = 500;
   opts.checkpoint_base = base;
   opts.checkpoint_journal = journal;
   return opts;

@@ -1,13 +1,12 @@
 // Copyright 2026 The gkmeans Authors.
-// SearchBatcher implementation. Wall-clock only bounds how long a query
-// may wait (CondVar::WaitFor deadline); it never reaches the coalesced
-// call or any model state, so serving latency policy cannot perturb
-// results or checkpoints (docs/architecture.md determinism contract).
+// SearchBatcher implementation. Flushing is work-conserving — a worker
+// that finds queued jobs flushes them at once — so no clock is read here:
+// batch composition depends only on which queries queued while workers
+// were busy, and it never changes answers (see batch_queue.h).
 
 #include "serve/batch_queue.h"
 
 #include "common/macros.h"
-#include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -24,10 +23,7 @@ Admission SearchBatcher::TrySubmit(SearchJob job) {
       GKM_COUNTER_ADD("serve.batcher.overloaded", 1);
       return Admission::kOverloaded;
     }
-    Pending p;
-    p.job = std::move(job);
-    p.enqueue_ns = obs::MonotonicNanos();
-    queue_.push_back(std::move(p));
+    queue_.push_back(std::move(job));
     pending_rows_ += rows;
   }
   cv_.NotifyOne();
@@ -44,34 +40,16 @@ bool SearchBatcher::FlushOnce() {
     });
     if (queue_.empty()) return false;  // stopped and drained
 
-    // Wait out the coalescing window: full batch, expired delay bound
-    // (measured from the OLDEST pending job), or stop — whichever first.
-    // The deadline is recomputed each wake because the predicate can win
-    // spuriously; stopped_ flushes immediately to drain fast.
-    const std::int64_t deadline_ns =
-        queue_.front().enqueue_ns + policy_.max_delay_us * 1000;
-    while (!stopped_ && pending_rows_ < policy_.max_batch) {
-      const std::int64_t now_ns = obs::MonotonicNanos();
-      if (now_ns >= deadline_ns) break;
-      cv_.WaitFor(mu_, std::chrono::nanoseconds(deadline_ns - now_ns),
-                  [this]() GKM_REQUIRES(mu_) {
-                    return stopped_ || pending_rows_ >= policy_.max_batch;
-                  });
-    }
-
-    // Drain whole jobs up to max_batch rows (the last job may overshoot;
-    // it is never split, so every job completes from exactly one flush).
+    // Work-conserving: drain at once, under the same lock hold, whole jobs
+    // up to max_batch rows (the last job may overshoot; it is never split,
+    // so every job completes from exactly one flush). Whatever queued while
+    // the workers were busy rides along; nothing waits for company.
     while (!queue_.empty() && batch_rows < policy_.max_batch) {
-      batch_rows += queue_.front().job.queries.rows();
-      batch.push_back(std::move(queue_.front().job));
+      batch_rows += queue_.front().queries.rows();
+      batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
     }
     pending_rows_ -= batch_rows;
-
-    // Multi-consumer race: while this worker waited out the delay bound
-    // (mutex released inside WaitFor), another worker may have drained the
-    // whole window. An empty wake is not a stop signal — go around again.
-    if (batch.empty()) return !stopped_;
   }
 
   GKM_TRACE_SPAN("serve.batcher.flush");

@@ -1,9 +1,9 @@
 // Copyright 2026 The gkmeans Authors.
 // The serving daemon's admission-controlled queues, built as pure
 // in-process components (no sockets): a generic bounded MPSC queue for
-// ingest ops and a micro-batching search queue that coalesces concurrent
-// queries into one SearchKnnBatch-shaped call under a max-batch /
-// max-delay policy.
+// ingest ops and a work-conserving micro-batching search queue that
+// coalesces the queries queued while every search worker was busy into
+// one SearchKnnBatch-shaped call of at most max-batch rows.
 //
 // Back-pressure contract (docs/serving.md): admission is non-blocking.
 // When a queue is at capacity, TrySubmit/TryPush return a refusal the
@@ -20,7 +20,6 @@
 #ifndef GKM_SERVE_BATCH_QUEUE_H_
 #define GKM_SERVE_BATCH_QUEUE_H_
 
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -95,14 +94,13 @@ class BoundedQueue {
   bool stopped_ GKM_GUARDED_BY(mu_) = false;
 };
 
-/// Coalescing policy. A flush fires as soon as `max_batch` query rows are
-/// pending, or `max_delay_us` after the OLDEST pending row arrived —
-/// whichever comes first — so trickle traffic is never parked longer
-/// than the delay bound and bursts fill SIMD lanes.
+/// Coalescing policy. Flushing is work-conserving: a worker that finds
+/// queued jobs flushes them at once — there is no coalescing delay — so
+/// batches form only from queries that arrived while every worker was
+/// busy. They stay small when idle and grow toward `max_batch` under load.
 struct BatchPolicy {
-  std::size_t max_batch = 64;      ///< query rows per coalesced search
-  std::int64_t max_delay_us = 500; ///< oldest-row wait bound
-  std::size_t max_pending = 4096;  ///< admission cap on queued rows
+  std::size_t max_batch = 64;     ///< query rows per coalesced search
+  std::size_t max_pending = 4096; ///< admission cap on queued rows
 };
 
 /// One pending search: `queries` rows at `topk`, completed exactly once
@@ -114,7 +112,7 @@ struct SearchJob {
 };
 
 /// Micro-batching search queue. Producers TrySubmit jobs; consumers loop
-/// FlushOnce, which blocks per the policy, coalesces whole jobs into a
+/// FlushOnce, which blocks until work arrives, coalesces whole jobs into a
 /// single Matrix, runs `fn` ONCE at the group's max top-k, and completes
 /// each job with its truncated slice. Multiple consumers may loop
 /// FlushOnce concurrently (the server's replica read path runs several
@@ -134,12 +132,10 @@ class SearchBatcher {
   /// whole (flushes are whole-job: one oversized flush, never a split).
   Admission TrySubmit(SearchJob job);
 
-  /// Consumer step: waits for work (or Stop), honors the max-batch /
-  /// max-delay policy, then flushes one coalesced group. Returns false
-  /// only when stopped AND drained (a wake that finds the window already
-  /// drained by a sibling worker returns true: go around again). After
-  /// Stop() remaining jobs flush immediately without waiting out the
-  /// delay bound.
+  /// Consumer step: waits for work (or Stop), then at once drains whole
+  /// jobs up to max_batch rows and flushes them as one coalesced group.
+  /// Returns false only when stopped AND drained; after Stop() the
+  /// remaining jobs keep flushing until the queue is empty.
   bool FlushOnce();
 
   /// Wakes the consumer and refuses new work; accepted jobs still flush.
@@ -149,16 +145,11 @@ class SearchBatcher {
   std::size_t pending_rows() const;
 
  private:
-  struct Pending {
-    SearchJob job;
-    std::int64_t enqueue_ns = 0;
-  };
-
   const BatchPolicy policy_;
   const SearchFn fn_;
   mutable Mutex mu_;
   CondVar cv_;
-  std::deque<Pending> queue_ GKM_GUARDED_BY(mu_);
+  std::deque<SearchJob> queue_ GKM_GUARDED_BY(mu_);
   std::size_t pending_rows_ GKM_GUARDED_BY(mu_) = 0;
   bool stopped_ GKM_GUARDED_BY(mu_) = false;
 };

@@ -8,13 +8,14 @@
 //   accept thread     — accepts connections, one reader thread each
 //   connection threads— parse frames (FrameParser), decode, dispatch;
 //                       answer stats inline, enqueue search/ingest
-//   search workers    — loop SearchBatcher::FlushOnce: coalesce
-//                       concurrent queries into one batched search per
-//                       flush (amortizing the shard rwlocks and filling
-//                       SIMD lanes), complete each query with its
-//                       truncated slice. With routed placement + read
-//                       replicas, several workers answer from replica
-//                       lanes without touching the leader's locks
+//   search workers    — loop SearchBatcher::FlushOnce: flush at once
+//                       whatever queries queued while the worker was
+//                       busy as one batched search (amortizing the shard
+//                       rwlocks and filling SIMD lanes under load, never
+//                       waiting to fill a batch), complete each query
+//                       with its truncated slice. With routed placement +
+//                       read replicas, several workers answer from
+//                       replica lanes without touching the leader's locks
 //   ingest worker     — THE only model mutator: pops accepted insert/
 //                       remove ops in queue order, journals each to the
 //                       delta log BEFORE applying, then answers. The

@@ -1,12 +1,15 @@
 // Copyright 2026 The gkmeans Authors.
 // Sharded online KNN graph: S independent OnlineKnnGraph arenas, each with
 // its own reader-writer lock, RNG, scratch and deletion bookkeeping.
-// Incoming points are assigned to shards by a deterministic content hash,
-// per-shard ingest runs on concurrent writer threads (commits no longer
-// serialize globally), and cross-shard search fans SearchKnn over the
-// shards and merges by the Neighbor ordering of the top_k machinery —
-// a query only ever waits for the brief commit window of the one shard it
-// is currently reading, never for a commit in another shard.
+// Incoming points are placed deterministically: with routed placement each
+// point goes to its cluster's home shard (the caller's explicit
+// placement), falling back to a content hash before bootstrap, for
+// unlabeled points, or when routing is off. Per-shard ingest runs on
+// concurrent writer threads (commits no longer serialize globally), and
+// cross-shard search fans SearchKnn over the shards and merges by the
+// Neighbor ordering of the top_k machinery — a query only ever waits for
+// the brief commit window of the one shard it is currently reading, never
+// for a commit in another shard.
 //
 // Why partitioning preserves quality: Debatty et al. ("Fast Online k-nn
 // Graph Building") show partitioned online construction with local repair
@@ -119,10 +122,13 @@ struct ReplicaTable {
 /// InsertBatch, per-shard commits run on S concurrent writer threads, each
 /// taking only its own shard's writer lock. Any number of serving threads
 /// call SearchKnn/SearchKnnBatch concurrently with all of it. Determinism:
-/// shard assignment is a pure content hash, every shard is itself
-/// deterministic, and merged results are ordered by (dist, global id) — so
-/// the whole structure stays a pure function of the input sequence at any
-/// writer/pool thread count, for a fixed shard count.
+/// shard assignment is a pure function of the stream (each point goes to
+/// its cluster's deterministic home shard under routed placement, with the
+/// content hash ShardOf as the fallback before bootstrap or for unlabeled
+/// points), every shard is itself deterministic, and merged results are
+/// ordered by (dist, global id) — so the whole structure stays a pure
+/// function of the input sequence at any writer/pool thread count, for a
+/// fixed shard count.
 ///
 /// Lock discipline: this facade owns no lock. `shards_` and `params_` are
 /// written only during construction (immutable afterwards); every mutable

@@ -6,12 +6,14 @@
 //    per query, exactly what a standalone SearchKnn returns — including
 //    when jobs with different top-k are grouped (max-topk search +
 //    per-job truncation, the k-prefix property).
-//  * Policy: a full batch flushes without waiting; a lone trickle query
-//    flushes once the max-delay bound expires, never earlier.
+//  * Policy: flushing is work-conserving — a lone query flushes as soon
+//    as a worker wakes to it, and batches form only from jobs queued
+//    while the worker was busy, split at max_batch rows. No test sleeps
+//    or asserts a deadline; a hang fails through the ctest timeout.
 //  * Back-pressure: admission beyond capacity returns kOverloaded
 //    immediately (never blocks); accepted work always completes.
-//  * Lifecycle: Stop() refuses new work, drains accepted jobs without
-//    waiting out the delay bound, then FlushOnce reports done.
+//  * Lifecycle: Stop() refuses new work, drains accepted jobs, then
+//    FlushOnce reports done.
 
 #include <algorithm>
 #include <cstdint>
@@ -19,10 +21,10 @@
 #include <vector>
 
 #include "common/matrix.h"
+#include "common/mutex.h"
 #include "common/thread_pool.h"
 #include "dataset/synthetic.h"
 #include "gtest/gtest.h"
-#include "obs/clock.h"
 #include "serve/batch_queue.h"
 #include "stream/sharded_online_knn_graph.h"
 
@@ -95,8 +97,7 @@ TEST(SearchBatcher, CoalescedEqualsPerQueryOnRealGraph) {
   }
 
   BatchPolicy policy;
-  policy.max_batch = 8;  // 24 pending rows => 3 full flushes, no delay wait
-  policy.max_delay_us = 60 * 1000 * 1000;  // must not matter: batches fill
+  policy.max_batch = 8;  // 24 pending rows => 3 full flushes
   SearchBatcher batcher(policy, [&graph](const Matrix& q, std::uint32_t k) {
     return graph.SearchKnnBatch(q, k);
   });
@@ -143,11 +144,10 @@ TEST(SearchBatcher, CoalescedEqualsPerQueryOnRealGraph) {
   }
 }
 
-TEST(SearchBatcher, FullBatchFlushesWithoutDelayWait) {
+TEST(SearchBatcher, FullBatchFlushesAsOneCall) {
   FakeSearch fake;
   BatchPolicy policy;
   policy.max_batch = 4;
-  policy.max_delay_us = 60 * 1000 * 1000;  // a hang here fails the test run
   SearchBatcher batcher(policy, fake.Fn());
 
   Matrix q = MakeData(4);
@@ -163,32 +163,100 @@ TEST(SearchBatcher, FullBatchFlushesWithoutDelayWait) {
   EXPECT_EQ(batcher.pending_rows(), 0u);
 }
 
-TEST(SearchBatcher, MaxDelayHonoredUnderTrickleLoad) {
+TEST(SearchBatcher, LoneQueryFlushesWithoutWaiting) {
   FakeSearch fake;
   BatchPolicy policy;
-  policy.max_batch = 64;  // never fills: only the delay bound can flush
-  policy.max_delay_us = 20 * 1000;
+  policy.max_batch = 64;  // never reached: the lone row must not wait for it
   SearchBatcher batcher(policy, fake.Fn());
 
+  // The consumer blocks in FlushOnce on an empty queue; the submit wakes
+  // it and the single row flushes at once. Were the flush to wait for a
+  // fuller batch, this would hang until the ctest timeout.
   Matrix q = MakeData(1);
   std::vector<std::vector<Neighbor>> sink;
+  bool flushed = false;
+  std::thread consumer([&batcher, &flushed] { flushed = batcher.FlushOnce(); });
   ASSERT_EQ(batcher.TrySubmit(OneRowJob(q.Row(0), 3, &sink)),
             Admission::kAccepted);
-  const std::int64_t t0 = obs::MonotonicNanos();
-  ASSERT_TRUE(batcher.FlushOnce());
-  const std::int64_t waited_ns = obs::MonotonicNanos() - t0;
-  // The lone query flushed despite the batch never filling, and not
-  // before its delay bound expired.
-  EXPECT_EQ(sink.size(), 1u);
-  EXPECT_GE(waited_ns, policy.max_delay_us * 1000);
+  consumer.join();
+  EXPECT_TRUE(flushed);
+  ASSERT_EQ(fake.calls.size(), 1u);
+  EXPECT_EQ(fake.calls[0].first, 1u);
+  ASSERT_EQ(sink.size(), 1u);
   EXPECT_EQ(sink[0].size(), 3u);
+  EXPECT_EQ(batcher.pending_rows(), 0u);
+}
+
+/// Drives one batcher through a worker that is busy while five single-row
+/// jobs queue: the first call's SearchFn blocks on a latch until all five
+/// are admitted. Returns the row count of every SearchFn call after the
+/// first, which is exactly how the queued jobs were batched.
+std::vector<std::size_t> RowsQueuedWhileBusy(std::size_t max_batch) {
+  BatchPolicy policy;
+  policy.max_batch = max_batch;
+  Mutex mu;
+  CondVar cv;
+  bool first_entered = false;  // guarded by mu
+  bool released = false;       // guarded by mu
+  std::vector<std::size_t> calls;  // touched only by the consumer thread
+  SearchBatcher batcher(policy, [&](const Matrix& queries,
+                                    std::uint32_t topk) {
+    if (calls.empty()) {
+      MutexLock lock(mu);
+      first_entered = true;
+      cv.NotifyAll();
+      cv.Wait(mu, [&released]() { return released; });
+    }
+    calls.push_back(queries.rows());
+    return std::vector<std::vector<Neighbor>>(
+        queries.rows(), std::vector<Neighbor>(topk));
+  });
+
+  Matrix q = MakeData(6);
+  std::vector<std::vector<Neighbor>> sink;
+  std::thread consumer([&batcher] {
+    while (batcher.FlushOnce()) {
+    }
+  });
+  EXPECT_EQ(batcher.TrySubmit(OneRowJob(q.Row(0), 2, &sink)),
+            Admission::kAccepted);
+  {
+    // Wait until the worker is inside the first search, so the next five
+    // jobs can only queue behind it.
+    MutexLock lock(mu);
+    cv.Wait(mu, [&first_entered]() { return first_entered; });
+  }
+  for (std::size_t i = 1; i < 6; ++i) {
+    EXPECT_EQ(batcher.TrySubmit(OneRowJob(q.Row(i), 2, &sink)),
+              Admission::kAccepted);
+  }
+  EXPECT_EQ(batcher.pending_rows(), 5u);
+  {
+    MutexLock lock(mu);
+    released = true;
+  }
+  cv.NotifyAll();
+  batcher.Stop();  // accepted jobs still drain; then the loop exits
+  consumer.join();
+  EXPECT_EQ(sink.size(), 6u);
+  if (calls.empty()) return {};
+  EXPECT_EQ(calls.front(), 1u);
+  return {calls.begin() + 1, calls.end()};
+}
+
+TEST(SearchBatcher, BatchFormsWhileWorkerBusy) {
+  // Everything that queued behind the busy worker flushes as one call...
+  EXPECT_EQ(RowsQueuedWhileBusy(/*max_batch=*/64),
+            (std::vector<std::size_t>{5}));
+  // ...split at max_batch rows.
+  EXPECT_EQ(RowsQueuedWhileBusy(/*max_batch=*/3),
+            (std::vector<std::size_t>{3, 2}));
 }
 
 TEST(SearchBatcher, OverloadedReturnsImmediatelyNeverBlocks) {
   FakeSearch fake;
   BatchPolicy policy;
   policy.max_batch = 64;
-  policy.max_delay_us = 1000;
   policy.max_pending = 4;
   SearchBatcher batcher(policy, fake.Fn());
 
@@ -222,7 +290,6 @@ TEST(SearchBatcher, StopDrainsAcceptedJobsThenReportsDone) {
   FakeSearch fake;
   BatchPolicy policy;
   policy.max_batch = 64;
-  policy.max_delay_us = 60 * 1000 * 1000;  // stop must NOT wait this out
   SearchBatcher batcher(policy, fake.Fn());
 
   Matrix q = MakeData(2);
@@ -234,7 +301,7 @@ TEST(SearchBatcher, StopDrainsAcceptedJobsThenReportsDone) {
   batcher.Stop();
   EXPECT_EQ(batcher.TrySubmit(OneRowJob(q.Row(0), 2, &sink)),
             Admission::kStopped);
-  // Accepted jobs drain promptly (no 60 s delay wait), then done.
+  // Accepted jobs drain, then done.
   EXPECT_TRUE(batcher.FlushOnce());
   EXPECT_EQ(sink.size(), 2u);
   EXPECT_FALSE(batcher.FlushOnce());

@@ -56,7 +56,6 @@ ServerOptions SmallServer() {
   opts.params.graph.seed = 11;
   opts.params.graph.shards = 2;
   opts.batch_policy.max_batch = 8;
-  opts.batch_policy.max_delay_us = 2000;
   return opts;
 }
 

@@ -59,10 +59,6 @@ CLOCK_ALLOWLIST = {
                           "bound, never model state",
     "src/common/thread_pool.h": "worker idle-wait bounds — never model "
                                 "state",
-    "src/serve/batch_queue.cc": "micro-batch flush deadlines "
-                                "(chrono::nanoseconds wait bounds) — "
-                                "batching latency policy, never model "
-                                "state",
 }
 
 # Randomness may only live in the seeded generator itself.
