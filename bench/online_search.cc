@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
   std::size_t removed = 0;
   for (std::uint32_t id = 0; id < n; ++id) {
     if (id % 10 < 3) {
-      graph.Remove(id);
+      graph.Remove({&id, 1});
       ++removed;
     }
   }
@@ -269,7 +269,7 @@ int main(int argc, char** argv) {
   std::size_t sharded_removed = 0;
   for (std::uint32_t r = 0; r < n; ++r) {
     if (r % 10 < 3) {
-      sharded.Remove(sharded_ids[r]);
+      sharded.Remove({&sharded_ids[r], 1});
       ++sharded_removed;
     }
   }
@@ -371,7 +371,7 @@ int main(int argc, char** argv) {
   std::size_t sq8_removed = 0;
   for (std::uint32_t id = 0; id < n; ++id) {
     if (id % 10 < 3) {
-      qgraph.Remove(id);
+      qgraph.Remove({&id, 1});
       ++sq8_removed;
     }
   }

@@ -844,10 +844,28 @@ std::uint32_t OnlineKnnGraph::InsertBatch(
   return first_id;
 }
 
-void OnlineKnnGraph::Remove(std::uint32_t id,
+void OnlineKnnGraph::Remove(std::span<const std::uint32_t> ids,
                             std::vector<std::uint32_t>* repaired) {
-  GKM_COUNTER_ADD("stream.remove.calls", 1);
-  WriterMutexLock guard(mu_);
+  GKM_CHECK_MSG(std::adjacent_find(ids.begin(), ids.end(),
+                                   std::greater_equal<std::uint32_t>()) ==
+                    ids.end(),
+                "Remove ids must be strictly ascending");
+  GKM_COUNTER_ADD("stream.remove.calls", static_cast<std::int64_t>(ids.size()));
+  for (const std::uint32_t id : ids) {
+    // Per-id writer lock: a concurrent reader waits for one removal at
+    // most, never for a whole expiry batch.
+    WriterMutexLock guard(mu_);
+    RemoveOneLocked(id, repaired);
+  }
+  if (repaired != nullptr) {
+    std::sort(repaired->begin(), repaired->end());
+    repaired->erase(std::unique(repaired->begin(), repaired->end()),
+                    repaired->end());
+  }
+}
+
+void OnlineKnnGraph::RemoveOneLocked(std::uint32_t id,
+                                     std::vector<std::uint32_t>* repaired) {
   GKM_CHECK_MSG(id < ArenaRowsLocked(), "Remove of an out-of-range id");
   GKM_CHECK_MSG(dead_[id] == 0, "Remove of an already-removed id");
 
@@ -909,12 +927,9 @@ void OnlineKnnGraph::Remove(std::uint32_t id,
     }
     if (changed && repaired != nullptr) repaired->push_back(r);
   }
-  if (repaired != nullptr) {
-    std::sort(repaired->begin(), repaired->end());
-    repaired->erase(std::unique(repaired->begin(), repaired->end()),
-                    repaired->end());
-  }
-
+  // Checked after each id, not once per batch: a purge changes the lists
+  // that later ids' repairs update, so it must fire at the same point of
+  // the removal sequence however the ids are grouped into calls.
   if (pending_dead_.size() >= kPurgeMinPending &&
       pending_dead_.size() * kPurgeDenominator >= ArenaRowsLocked()) {
     PurgeTombstonesLocked();

@@ -25,6 +25,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include <atomic>
@@ -371,20 +372,25 @@ class OnlineKnnGraph {
       std::vector<std::uint32_t>* assigned = nullptr,
       const std::vector<std::uint32_t>* modes = nullptr);
 
-  /// Tombstones point `id` (which must be alive): concurrent SearchKnn and
-  /// SearchKnnBatch readers skip it from then on without blocking, and its
-  /// in-edges within the 1-hop neighborhood are routed through a repair
-  /// pass that cross-links the removed node's neighbors with each other
-  /// (the same local-join machinery the insert path uses), so the
-  /// neighborhood stays connected once the node drops out. Stale in-edges
-  /// from further away remain until the amortized compaction pass — walks
-  /// ignore them. Ids of nodes whose lists changed are appended to
-  /// `repaired` (sorted, deduplicated) when non-null.
+  /// Tombstones every point of `ids` (strictly ascending, each alive),
+  /// one after another in id order. Concurrent SearchKnn and
+  /// SearchKnnBatch readers skip a removed point from then on without
+  /// blocking. Each removal routes the point's in-edges within its 1-hop
+  /// neighborhood through a repair pass that cross-links the removed
+  /// node's live neighbors with each other (the same local-join machinery
+  /// the insert path uses), so the neighborhood stays connected once the
+  /// node drops out; the amortized purge check runs after each id, so a
+  /// purge mid-batch is seen by the later ids' repairs exactly as if they
+  /// had been removed one call at a time. Stale in-edges from further
+  /// away remain until that purge — walks ignore them. Ids of nodes whose
+  /// lists changed are appended to `repaired` when non-null, and the whole
+  /// vector is sorted and deduplicated once, at the end of the call.
   ///
-  /// Must be called from the ingest thread (it serializes with commits
-  /// under the writer lock). Deterministic: the graph remains a pure
-  /// function of the interleaved insert/remove sequence.
-  void Remove(std::uint32_t id,
+  /// The writer lock is taken per id, so a concurrent reader never waits
+  /// longer than one removal. Must be called from the ingest thread.
+  /// Deterministic: the graph remains a pure function of the interleaved
+  /// insert/remove sequence, however the removals are grouped into calls.
+  void Remove(std::span<const std::uint32_t> ids,
               std::vector<std::uint32_t>* repaired = nullptr);
 
   /// Purges every edge pointing at a tombstoned slot (one O(n*kappa)
@@ -460,6 +466,11 @@ class OnlineKnnGraph {
                           PlannedInsert& plan,
                           std::vector<std::uint32_t>* touched,
                           std::uint32_t mode)
+      GKM_REQUIRES(mu_);
+
+  /// One id of Remove: tombstone, ring repair (appending changed list
+  /// owners to `repaired` unsorted) and the purge check.
+  void RemoveOneLocked(std::uint32_t id, std::vector<std::uint32_t>* repaired)
       GKM_REQUIRES(mu_);
 
   /// Unlocked core of CompactTombstones; requires the writer lock.

@@ -3,6 +3,7 @@
 #include "stream/sharded_online_knn_graph.h"
 
 #include <algorithm>
+#include <functional>
 #include <thread>
 #include <utility>
 
@@ -253,26 +254,38 @@ std::uint32_t ShardedOnlineKnnGraph::InsertBatch(
   return global_assigned[0];
 }
 
-void ShardedOnlineKnnGraph::Remove(std::uint32_t g,
+void ShardedOnlineKnnGraph::Remove(std::span<const std::uint32_t> ids,
                                    std::vector<std::uint32_t>* repaired) {
   const std::size_t num_shards = shards_.size();
   if (num_shards == 1) {
-    shards_[0].Remove(g, repaired);
+    shards_[0].Remove(ids, repaired);
     return;
   }
-  const GlobalId id = GlobalId::Split(g, num_shards);
-  if (repaired == nullptr) {
-    shards_[id.shard].Remove(id.slot, nullptr);
-    return;
+  // Checked on the global ids: a per-shard check alone would accept
+  // interleavings such as {6, 1} whose slots happen to ascend per shard.
+  GKM_CHECK_MSG(std::adjacent_find(ids.begin(), ids.end(),
+                                   std::greater_equal<std::uint32_t>()) ==
+                    ids.end(),
+                "Remove ids must be strictly ascending");
+  std::vector<std::vector<std::uint32_t>> slots(num_shards);
+  for (const std::uint32_t g : ids) {
+    const GlobalId id = GlobalId::Split(g, num_shards);
+    slots[id.shard].push_back(id.slot);
   }
   std::vector<std::uint32_t> local;
-  shards_[id.shard].Remove(id.slot, &local);
-  for (const std::uint32_t r : local) {
-    repaired->push_back(ToGlobal(id.shard, r));
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    if (slots[s].empty()) continue;
+    local.clear();
+    shards_[s].Remove(slots[s], repaired != nullptr ? &local : nullptr);
+    for (const std::uint32_t r : local) {
+      repaired->push_back(ToGlobal(static_cast<std::uint32_t>(s), r));
+    }
   }
-  std::sort(repaired->begin(), repaired->end());
-  repaired->erase(std::unique(repaired->begin(), repaired->end()),
-                  repaired->end());
+  if (repaired != nullptr) {
+    std::sort(repaired->begin(), repaired->end());
+    repaired->erase(std::unique(repaired->begin(), repaired->end()),
+                    repaired->end());
+  }
 }
 
 void ShardedOnlineKnnGraph::CompactTombstones() {

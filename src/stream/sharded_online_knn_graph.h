@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/matrix.h"
@@ -215,10 +216,16 @@ class ShardedOnlineKnnGraph {
       const std::vector<std::uint32_t>* placement = nullptr,
       const std::vector<std::uint32_t>* modes = nullptr);
 
-  /// Tombstones global id `g` in its shard (repair + amortized purge as in
-  /// OnlineKnnGraph::Remove). `repaired` collects global ids (sorted,
-  /// deduplicated). Ingest-caller only.
-  void Remove(std::uint32_t g, std::vector<std::uint32_t>* repaired = nullptr);
+  /// Tombstones every global id of `ids` (strictly ascending, each alive)
+  /// in its shard, with the per-id repair, per-id writer lock and per-id
+  /// purge check of OnlineKnnGraph::Remove. The ids are split into one
+  /// removal call per shard; ascending global ids give ascending slots
+  /// within a shard, and shards share no state, so the result equals
+  /// removing the ids one by one. `repaired` collects global ids and is
+  /// sorted and deduplicated once, at the end of the call. Ingest-caller
+  /// only.
+  void Remove(std::span<const std::uint32_t> ids,
+              std::vector<std::uint32_t>* repaired = nullptr);
 
   /// Purges tombstones of every shard (see CompactTombstones there).
   void CompactTombstones();

@@ -246,6 +246,7 @@ void StreamingGkMeans::ObserveWindow(const Matrix& window,
   const bool use_hints = was_bootstrapped && params_.route_hints > 0;
   const bool mode_tagged = was_bootstrapped && params_.routed_placement;
   if (use_hints || mode_tagged) {
+    GKM_TRACE_SPAN("stream.route_hints");
     PrepareRouteQuantizer(centroids);
     if (use_hints) hints.resize(rows);
     if (mode_tagged) modes.resize(rows);
@@ -303,9 +304,20 @@ void StreamingGkMeans::ObserveWindow(const Matrix& window,
     touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
     ws.touched = touched.size();
 
-    ws.moves = RunEpochs(touched, params_.epochs_per_window, &ws.epochs);
-    DriftAndReseed(touched, ws);
-    SplitMergeMaintain(ws);
+    // One span per phase per window (never per id): together with the
+    // ingest spans they account for the whole window.
+    {
+      GKM_TRACE_SPAN("stream.epochs");
+      ws.moves = RunEpochs(touched, params_.epochs_per_window, &ws.epochs);
+    }
+    {
+      GKM_TRACE_SPAN("stream.drift");
+      DriftAndReseed(touched, ws);
+    }
+    {
+      GKM_TRACE_SPAN("stream.split_merge");
+      SplitMergeMaintain(ws);
+    }
 
     // Routed-placement maintenance: re-home clusters when TTL churn skewed
     // the shard loads, then drain a budgeted slice of the rows the window
@@ -870,7 +882,7 @@ std::size_t StreamingGkMeans::MigrateMisplaced(std::size_t budget) {
     // cluster), so composites stay bit-identical across any migration
     // schedule.
     labels_[i] = kUnassigned;
-    graph_.Remove(id, nullptr);
+    graph_.Remove({&id, 1});
     place1[0] = home;
     mode1[0] = l;
     fresh1.clear();
@@ -933,8 +945,7 @@ std::vector<std::uint32_t> StreamingGkMeans::AliveIds() const {
   return ids;
 }
 
-void StreamingGkMeans::RetirePoint(std::uint32_t id,
-                                   std::vector<std::uint32_t>* repaired) {
+void StreamingGkMeans::RetirePoint(std::uint32_t id) {
   if (labels_[id] != kUnassigned) {
     state_.RemovePoint(graph_.Point(id), labels_[id]);
     labels_[id] = kUnassigned;
@@ -944,30 +955,36 @@ void StreamingGkMeans::RetirePoint(std::uint32_t id,
   for (std::uint32_t& rep : cluster_reps_) {
     if (rep == id) rep = kUnassigned;
   }
-  graph_.Remove(id, repaired);
 }
 
 void StreamingGkMeans::RemovePoint(std::uint32_t id) {
   GKM_CHECK_MSG(id < labels_.size() && graph_.IsAliveUnlocked(id),
                 "RemovePoint of a dead or out-of-range id");
-  RetirePoint(id, nullptr);
+  RetirePoint(id);
+  graph_.Remove({&id, 1});
 }
 
 std::size_t StreamingGkMeans::ExpireTtl(
     std::vector<std::uint32_t>* repaired) {
   if (params_.ttl_windows == 0 || windows_ < params_.ttl_windows) return 0;
+  // Inside the early return: the span counts expiring windows only, so its
+  // mean is the cost of one window's expiry.
+  GKM_TRACE_SPAN("stream.expire");
   const std::uint64_t cutoff = windows_ - params_.ttl_windows;
-  std::size_t expired = 0;
+  std::vector<std::uint32_t> expired;
   // Unlocked liveness reads: this O(arena) sweep runs on the ingest thread
   // before every window, and per-slot lock round-trips would contend with
   // concurrent searches for no benefit (only this thread flips the flags).
   for (std::size_t i = 0; i < birth_window_.size(); ++i) {
     const auto id = static_cast<std::uint32_t>(i);
     if (!graph_.IsAliveUnlocked(id) || birth_window_[i] > cutoff) continue;
-    RetirePoint(id, repaired);
-    ++expired;
+    RetirePoint(id);
+    expired.push_back(id);
   }
-  return expired;
+  // One removal call for the window: the graph repairs id by id in this
+  // same ascending order and sorts `repaired` once, at the end.
+  graph_.Remove(expired, repaired);
+  return expired.size();
 }
 
 ClusteringResult StreamingGkMeans::Result() const {

@@ -283,13 +283,16 @@ class StreamingGkMeans {
   void DriftAndReseed(const std::vector<std::uint32_t>& touched,
                       WindowStats& ws);
 
-  /// Shared removal path of RemovePoint and TTL expiry: cluster statistics,
-  /// labels, representative invalidation, then the graph tombstone.
-  void RetirePoint(std::uint32_t id, std::vector<std::uint32_t>* repaired);
+  /// Cluster-state half of a removal, shared by RemovePoint and TTL
+  /// expiry: cluster statistics, label and representative invalidation.
+  /// The caller tombstones the graph node afterwards (removal never
+  /// rewrites a row, so retiring first reads the same coordinates).
+  void RetirePoint(std::uint32_t id);
 
-  /// Retires every point whose TTL elapsed as of the current window cursor;
-  /// returns how many, appending repair-touched node ids to `repaired`.
-  /// Ascending id order (deterministic).
+  /// Retires every point whose TTL elapsed as of the current window cursor,
+  /// in ascending id order (deterministic), then tombstones them all with
+  /// one graph removal call; returns how many, appending repair-touched
+  /// node ids to `repaired`.
   std::size_t ExpireTtl(std::vector<std::uint32_t>* repaired);
 
   /// Ids of all live points, ascending — the scope of full epochs.

@@ -128,6 +128,59 @@ std::string BuildGoldenJournal() {
   return ReadFileBytes(delta);
 }
 
+// TTL-expiry twins of the checkpoint pin: a sliding corpus whose every
+// window from the third on retires the oldest window's points through
+// ExpireTtl, long enough that the 1/4-arena tombstone purge fires in the
+// middle of an expiry batch. Two arena shapes: one fp32 shard, and four
+// SQ8 shards (per-shard purge thresholds, global-id repair translation).
+// `purged` reports whether any shard ever moved tombstones to its free
+// list and a later insert reused the slot, so the pin provably covers a
+// mid-expiry purge (ttl_windows=2 at 300 rows a window: the purge fires
+// halfway through each expiry batch).
+std::string BuildGoldenTtlCheckpoint(std::size_t shards, StorageMode storage,
+                                     bool* purged) {
+  SyntheticSpec spec;
+  spec.n = 3000;
+  spec.dim = 16;
+  spec.modes = 9;
+  spec.seed = 321;
+  const SyntheticData data = MakeGaussianMixture(spec);
+
+  StreamingGkMeansParams p;
+  p.k = 9;
+  p.kappa = 8;
+  p.graph.kappa = 8;
+  p.graph.beam_width = 24;
+  p.graph.num_seeds = 16;
+  p.graph.bootstrap = 128;
+  p.graph.seed = 77;
+  p.graph.shards = shards;
+  p.graph.storage = storage;
+  p.bootstrap_min = 256;
+  p.ttl_windows = 2;
+  p.ingest_threads = 1;
+  p.seed = 31;
+
+  StreamingGkMeans model(spec.dim, p);
+  const std::size_t window = 300;
+  for (std::size_t b = 0; b < spec.n; b += window) {
+    model.ObserveWindow(SliceRows(data.vectors, b, b + window));
+  }
+  // Only purged slots are ever reused, so arenas that hold fewer rows than
+  // the stream delivered prove a purge ran.
+  std::size_t arena_rows = 0;
+  for (std::size_t s = 0; s < shards; ++s) {
+    arena_rows += model.graph().shard(s).size();
+  }
+  *purged = arena_rows < spec.n;
+
+  const std::string path = std::string(::testing::TempDir()) +
+                           "/gkm_golden_ttl_s" + std::to_string(shards) +
+                           ".bin";
+  SaveStreamCheckpoint(path, model);
+  return ReadFileBytes(path);
+}
+
 // Captured from the GKMC v4 layout (sharded-graph PR; S=1 here). Both
 // halves of the pin matter: the size catches layout drift, the hash
 // catches numeric drift.
@@ -230,6 +283,38 @@ TEST(CheckpointGolden, DeltaJournalBytesAreBitStable) {
   }
   EXPECT_EQ(bytes.size(), kGoldenJournalSize);
   EXPECT_EQ(hash, kGoldenJournalHash);
+}
+
+// TTL pins, captured from the per-id expiry path (one graph removal call
+// per expiring point). Batching the expiry must not move a byte.
+constexpr std::uint64_t kGoldenTtlHashS1 = 0xbfef9e480e4cb8b9ULL;
+constexpr std::size_t kGoldenTtlSizeS1 = 87043;
+constexpr std::uint64_t kGoldenTtlHashS4Sq8 = 0xafdf7122a525dbacULL;
+constexpr std::size_t kGoldenTtlSizeS4Sq8 = 71714;
+
+void ExpectTtlPin(std::size_t shards, StorageMode storage,
+                  std::uint64_t want_hash, std::size_t want_size) {
+  bool purged = false;
+  const std::string bytes = BuildGoldenTtlCheckpoint(shards, storage, &purged);
+  const std::uint64_t hash = Fnv1a64(bytes);
+  if (std::getenv("GKM_PRINT_GOLDEN") != nullptr) {
+    std::printf("ttl S=%zu hash = 0x%016llxULL size = %zu purged = %d\n",
+                shards, static_cast<unsigned long long>(hash), bytes.size(),
+                purged ? 1 : 0);
+    return;
+  }
+  EXPECT_TRUE(purged) << "the TTL pin must cover a tombstone purge";
+  EXPECT_EQ(bytes.size(), want_size);
+  EXPECT_EQ(hash, want_hash);
+}
+
+TEST(CheckpointGolden, TtlExpiryBytesAreBitStableSingleShardFp32) {
+  ExpectTtlPin(1, StorageMode::kFp32, kGoldenTtlHashS1, kGoldenTtlSizeS1);
+}
+
+TEST(CheckpointGolden, TtlExpiryBytesAreBitStableFourShardsSq8) {
+  ExpectTtlPin(4, StorageMode::kSq8, kGoldenTtlHashS4Sq8,
+               kGoldenTtlSizeS4Sq8);
 }
 
 }  // namespace

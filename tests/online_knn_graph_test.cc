@@ -350,7 +350,7 @@ TEST(OnlineKnnGraphTest, RemoveTombstonesNodeAndSearchSkipsIt) {
   // Remove every 5th point; searches must never return a removed id.
   std::vector<bool> removed(800, false);
   for (std::uint32_t id = 0; id < 800; id += 5) {
-    g.Remove(id);
+    g.Remove({&id, 1});
     removed[id] = true;
   }
   EXPECT_EQ(g.size(), 800u);  // arena does not shrink
@@ -373,18 +373,41 @@ TEST(OnlineKnnGraphTest, RemoveReportsRepairedNeighborhood) {
   p.kappa = 6;
   p.beam_width = 24;
   OnlineKnnGraph g = InsertAll(data.vectors, p);
+  // One batch call over ids whose lists do not name each other, so no
+  // earlier repair edits a later id's list: each id's repair ring is its
+  // list as it stands before the call.
+  const std::vector<std::uint32_t> dead = {123, 321, 456};
+  std::vector<std::vector<std::uint32_t>> rings;
+  for (const std::uint32_t x : dead) {
+    std::vector<std::uint32_t> ring;
+    for (const Neighbor& nb : g.graph().NeighborsOf(x)) {
+      ASSERT_EQ(std::count(dead.begin(), dead.end(), nb.id), 0);
+      ring.push_back(nb.id);
+    }
+    rings.push_back(ring);
+  }
   std::vector<std::uint32_t> repaired;
-  g.Remove(123, &repaired);
-  // The dead node's former neighbors were cross-linked (sorted unique).
+  g.Remove(dead, &repaired);
+  // The dead nodes' former neighbors were cross-linked (sorted unique
+  // over the whole batch).
   EXPECT_FALSE(repaired.empty());
   EXPECT_TRUE(std::is_sorted(repaired.begin(), repaired.end()));
   EXPECT_EQ(std::adjacent_find(repaired.begin(), repaired.end()),
             repaired.end());
   for (const std::uint32_t r : repaired) {
     EXPECT_TRUE(g.IsAlive(r));
-    // Repair removed the ring's edges to the dead node outright.
-    for (const Neighbor& nb : g.graph().NeighborsOf(r)) {
-      EXPECT_NE(nb.id, 123u);
+    bool in_ring = false;
+    for (const auto& ring : rings) {
+      in_ring = in_ring || std::count(ring.begin(), ring.end(), r) > 0;
+    }
+    EXPECT_TRUE(in_ring) << r << " was repaired outside every ring";
+  }
+  // Repair removed each ring's edges to its dead node outright.
+  for (std::size_t i = 0; i < dead.size(); ++i) {
+    for (const std::uint32_t r : rings[i]) {
+      for (const Neighbor& nb : g.graph().NeighborsOf(r)) {
+        EXPECT_NE(nb.id, dead[i]);
+      }
     }
   }
 }
@@ -398,7 +421,7 @@ TEST(OnlineKnnGraphTest, CompactionReclaimsSlotsAndKeepsArenaDense) {
 
   // Enough removals to cross the automatic purge threshold (>= 64 pending
   // and >= 1/4 of the arena).
-  for (std::uint32_t id = 0; id < 300; id += 2) g.Remove(id);
+  for (std::uint32_t id = 0; id < 300; id += 2) g.Remove({&id, 1});
   RemovalState rs = g.removal_state();
   EXPECT_FALSE(rs.free_slots.empty()) << "purge should have triggered";
   // After an explicit compaction every tombstone is reclaimed and no live
@@ -449,8 +472,8 @@ TEST(OnlineKnnGraphTest, ChurnIsDeterministicAcrossThreadCounts) {
     // Remove a deterministic third of the window just ingested.
     for (std::uint32_t id = 0; id < serial.size(); ++id) {
       if (id % 9 == 3 && serial.IsAlive(id)) {
-        serial.Remove(id);
-        parallel.Remove(id);
+        serial.Remove({&id, 1});
+        parallel.Remove({&id, 1});
       }
     }
   }
@@ -474,7 +497,7 @@ TEST(OnlineKnnGraphTest, RestoreFromPartsWithRemovalStateContinuesExact) {
   p.kappa = 6;
   p.beam_width = 24;
   OnlineKnnGraph g = InsertAll(data.vectors, p);
-  for (std::uint32_t id = 0; id < 200; id += 3) g.Remove(id);
+  for (std::uint32_t id = 0; id < 200; id += 3) g.Remove({&id, 1});
 
   OnlineKnnGraph back(g.points(), g.graph(), p, g.rng_state(), g.seed_state(),
                       g.removal_state());
@@ -489,8 +512,8 @@ TEST(OnlineKnnGraphTest, RestoreFromPartsWithRemovalStateContinuesExact) {
     if (i % 4 == 0) {
       const std::uint32_t victim = static_cast<std::uint32_t>(i) * 2 + 1;
       if (g.IsAlive(victim)) {
-        g.Remove(victim);
-        back.Remove(victim);
+        g.Remove({&victim, 1});
+        back.Remove({&victim, 1});
       }
     }
   }
@@ -525,7 +548,7 @@ TEST(OnlineKnnGraphTest, ChurnKeepsServingRecall) {
         &pool);
   }
   for (std::uint32_t id = 0; id < 2000; ++id) {
-    if (id % 10 < 3) g.Remove(id);
+    if (id % 10 < 3) g.Remove({&id, 1});
   }
   const SyntheticData refill = StreamData(600, 654);
   g.InsertBatch(refill.vectors, &pool);
@@ -652,8 +675,8 @@ TEST(OnlineKnnGraphTest, Sq8ChurnIsDeterministicAcrossThreadCounts) {
     parallel.InsertBatch(slice, &pool);
     for (std::uint32_t id = 0; id < serial.size(); ++id) {
       if (id % 9 == 3 && serial.IsAlive(id)) {
-        serial.Remove(id);
-        parallel.Remove(id);
+        serial.Remove({&id, 1});
+        parallel.Remove({&id, 1});
       }
     }
   }
@@ -688,7 +711,7 @@ TEST(OnlineKnnGraphTest, Sq8ChurnKeepsServingRecallAndSkipsRemoved) {
         &pool);
   }
   for (std::uint32_t id = 0; id < 2000; ++id) {
-    if (id % 10 < 3) g.Remove(id);
+    if (id % 10 < 3) g.Remove({&id, 1});
   }
   const SyntheticData refill = StreamData(600, 654);
   g.InsertBatch(refill.vectors, &pool);
@@ -732,7 +755,7 @@ TEST(OnlineKnnGraphTest, Sq8CompactionAndReinsertKeepArenaDense) {
   const SyntheticData data = StreamData(400);
   OnlineKnnGraph g = InsertAll(data.vectors, Sq8Params());
   ASSERT_TRUE(g.sq8_trained());
-  for (std::uint32_t id = 0; id < 300; id += 2) g.Remove(id);
+  for (std::uint32_t id = 0; id < 300; id += 2) g.Remove({&id, 1});
   g.CompactTombstones();
   const SyntheticData more = StreamData(150, 77);
   std::vector<std::uint32_t> assigned;
@@ -772,7 +795,7 @@ TEST(OnlineKnnGraphTest, Sq8RestoreFromPartsContinuesBitExact) {
   const SyntheticData data = StreamData(500);
   const OnlineGraphParams p = Sq8Params();
   OnlineKnnGraph g = InsertAll(data.vectors, p);
-  for (std::uint32_t id = 0; id < 200; id += 3) g.Remove(id);
+  for (std::uint32_t id = 0; id < 200; id += 3) g.Remove({&id, 1});
   ASSERT_TRUE(g.sq8_trained());
 
   Sq8ArenaParts parts;
@@ -793,8 +816,8 @@ TEST(OnlineKnnGraphTest, Sq8RestoreFromPartsContinuesBitExact) {
     if (i % 4 == 0) {
       const std::uint32_t victim = static_cast<std::uint32_t>(i) * 2 + 1;
       if (g.IsAlive(victim)) {
-        g.Remove(victim);
-        back.Remove(victim);
+        g.Remove({&victim, 1});
+        back.Remove({&victim, 1});
       }
     }
   }

@@ -2,12 +2,15 @@
 // Tests for the sharded online graph: global-id arithmetic, deterministic
 // content-hash partitioning, S=1 delegation equivalence, multi-writer
 // determinism across pool thread counts, cross-shard search merging, and
-// removal/compaction through the global-id facade.
+// removal/compaction through the global-id facade (a batch removal call
+// equals one-element calls, byte for byte).
 
 #include "stream/sharded_online_knn_graph.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -190,14 +193,12 @@ TEST(ShardedOnlineKnnGraphTest, RemovalAndSlotReuseWorkThroughGlobalIds) {
   Ingest(graph, data.vectors, nullptr);
   const std::size_t arena_before = graph.size();
 
-  // Remove ~30% of live points by global id.
+  // Remove ~30% of live points by global id, in one call.
   std::vector<std::uint32_t> removed;
   for (std::uint32_t g = 0; g < graph.size(); ++g) {
-    if (g % 10 < 3 && graph.IsAlive(g)) {
-      graph.Remove(g);
-      removed.push_back(g);
-    }
+    if (g % 10 < 3 && graph.IsAlive(g)) removed.push_back(g);
   }
+  graph.Remove(removed);
   EXPECT_EQ(graph.num_alive(), 800 - removed.size());
   for (const std::uint32_t g : removed) EXPECT_FALSE(graph.IsAlive(g));
 
@@ -234,14 +235,104 @@ TEST(ShardedOnlineKnnGraphTest, TouchedAndRepairedIdsAreGlobalSortedUnique) {
             touched.end());
   for (const std::uint32_t g : touched) EXPECT_LT(g, graph.size());
 
-  std::vector<std::uint32_t> repaired;
+  std::vector<std::uint32_t> doomed;
   for (std::uint32_t g = 0; g < 40; ++g) {
-    if (graph.IsAlive(g)) graph.Remove(g, &repaired);
+    if (graph.IsAlive(g)) doomed.push_back(g);
   }
+  std::vector<std::uint32_t> repaired;
+  graph.Remove(doomed, &repaired);
+  EXPECT_FALSE(repaired.empty());
   EXPECT_TRUE(std::is_sorted(repaired.begin(), repaired.end()));
   EXPECT_EQ(std::adjacent_find(repaired.begin(), repaired.end()),
             repaired.end());
   for (const std::uint32_t g : repaired) EXPECT_LT(g, graph.size());
+}
+
+// Every shard's adjacency (KnnGraph::SaveTo bytes) and removal
+// bookkeeping, concatenated: the state a removal sequence can change.
+std::string RemovalStateBytes(const ShardedOnlineKnnGraph& graph) {
+  std::string out;
+  for (std::size_t s = 0; s < graph.num_shards(); ++s) {
+    std::FILE* f = std::tmpfile();
+    EXPECT_NE(f, nullptr);
+    graph.shard(s).graph().SaveTo(f);
+    std::rewind(f);
+    char buf[4096];
+    std::size_t got;
+    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, got);
+    std::fclose(f);
+    const RemovalState rs = graph.shard(s).removal_state();
+    for (const auto* ids : {&rs.pending_dead, &rs.free_slots}) {
+      out.append(reinterpret_cast<const char*>(ids->data()),
+                 ids->size() * sizeof(std::uint32_t));
+      out.push_back('|');
+    }
+    out.append(reinterpret_cast<const char*>(&rs.last_inserted),
+               sizeof(rs.last_inserted));
+  }
+  return out;
+}
+
+// One batch Remove call and one-element calls over the same ids leave every
+// shard byte-identical and report the same repaired set. The second round
+// is long enough that each shard's 1/4-arena purge fires partway through
+// the batch, so a purge that ran once per call instead of once per id
+// would show up here.
+TEST(ShardedOnlineKnnGraphTest, BatchRemovalMatchesOneElementCalls) {
+  const SyntheticData data = Data(900);
+  for (const std::size_t shards : {1u, 3u}) {
+    SCOPED_TRACE(shards);
+    ShardedOnlineKnnGraph batch(kDim, SmallParams(shards));
+    ShardedOnlineKnnGraph single(kDim, SmallParams(shards));
+    Ingest(batch, data.vectors, nullptr);
+    Ingest(single, data.vectors, nullptr);
+    // Compared with ==, not EXPECT_EQ: a mismatch would print the bytes.
+    ASSERT_TRUE(RemovalStateBytes(batch) == RemovalStateBytes(single));
+
+    for (const std::uint32_t stride : {17u, 2u}) {
+      std::vector<std::uint32_t> ids;
+      for (std::uint32_t g = 0; g < batch.size(); g += stride) {
+        if (batch.IsAlive(g)) ids.push_back(g);
+      }
+      std::vector<std::uint32_t> batch_repaired;
+      batch.Remove(ids, &batch_repaired);
+      std::vector<std::uint32_t> single_repaired;
+      for (const std::uint32_t g : ids) {
+        std::vector<std::uint32_t> one;
+        single.Remove({&g, 1}, &one);
+        single_repaired.insert(single_repaired.end(), one.begin(), one.end());
+      }
+      std::sort(single_repaired.begin(), single_repaired.end());
+      single_repaired.erase(
+          std::unique(single_repaired.begin(), single_repaired.end()),
+          single_repaired.end());
+      EXPECT_FALSE(batch_repaired.empty());
+      EXPECT_EQ(batch_repaired, single_repaired);
+      EXPECT_TRUE(RemovalStateBytes(batch) == RemovalStateBytes(single))
+          << "stride " << stride;
+    }
+    // Mid-batch purge: slots were freed, and tombstones removed after the
+    // purge are still pending.
+    for (std::size_t s = 0; s < shards; ++s) {
+      const RemovalState rs = batch.shard(s).removal_state();
+      EXPECT_FALSE(rs.free_slots.empty()) << "shard " << s;
+      EXPECT_FALSE(rs.pending_dead.empty()) << "shard " << s;
+    }
+  }
+}
+
+TEST(ShardedOnlineKnnGraphDeathTest, RemoveRejectsUnsortedOrRepeatedIds) {
+  const SyntheticData data = Data(200);
+  for (const std::size_t shards : {1u, 3u}) {
+    ShardedOnlineKnnGraph graph(kDim, SmallParams(shards));
+    Ingest(graph, data.vectors, nullptr);
+    const std::vector<std::uint32_t> repeated = {5, 5};
+    EXPECT_DEATH(graph.Remove(repeated), "strictly ascending");
+    // At S=3 the slots ascend within each shard (6 is shard 0 slot 2, 1 is
+    // shard 1 slot 0), but the global order is wrong.
+    const std::vector<std::uint32_t> descending = {6, 1};
+    EXPECT_DEATH(graph.Remove(descending), "strictly ascending");
+  }
 }
 
 TEST(ShardedOnlineKnnGraphTest, ForeignShardSeedHintsAreDroppedSafely) {

@@ -438,7 +438,7 @@ TEST(StreamConcurrencyTest, ShardSearchIsNotBlockedByForeignShardCommits) {
         SliceRows(shard1_rows, b, std::min(b + window, shard1_rows.rows())),
         nullptr);
     for (std::uint32_t g = 1; g < graph.size(); g += 2) {  // shard-1 ids odd
-      if (g % 14 == 1 && graph.IsAlive(g)) graph.Remove(g);
+      if (g % 14 == 1 && graph.IsAlive(g)) graph.Remove({&g, 1});
     }
   }
   stop.store(true);
