@@ -51,6 +51,7 @@ int main() {
     gp.kappa = 50;
     gp.xi = 50;
     gp.tau = 8;
+    gp.threads = 1;  // one core, like the baselines
     const gkm::KnnGraph g = BuildKnnGraph(x, gp);
     gkm::bench::PrintSeriesHeader("kappa", "E | iter time(s)", "kappa sweep");
     for (const std::size_t kappa : {5u, 10u, 20u, 40u, 50u}) {
@@ -72,6 +73,7 @@ int main() {
     gp.kappa = 20;
     gp.xi = xi;
     gp.tau = 6;
+    gp.threads = 1;  // one core, like the baselines
     const gkm::KnnGraph g = BuildKnnGraph(x, gp);
     std::printf("%-12zu %-12.4f %-10.2f\n", xi,
                 gkm::SampledRecallAt1(g, subset, subset_nn), timer.Seconds());
@@ -85,6 +87,7 @@ int main() {
     gp.kappa = 20;
     gp.xi = 50;
     gp.tau = tau;
+    gp.threads = 1;  // one core, like the baselines
     const gkm::KnnGraph g = BuildKnnGraph(x, gp);
     std::printf("%-12zu %-12.4f %-10.2f\n", tau,
                 gkm::SampledRecallAt1(g, subset, subset_nn), timer.Seconds());

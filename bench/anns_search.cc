@@ -70,6 +70,7 @@ int main() {
   gp.kappa = kappa;
   gp.xi = 50;
   gp.tau = 12;
+  gp.threads = 1;  // one core, like the baselines
   const gkm::KnnGraph alg3 = BuildKnnGraph(base, gp);
   const double alg3_secs = t1.Seconds();
 

@@ -29,6 +29,7 @@ int main() {
   p.kappa = 20;
   p.xi = 50;
   p.tau = tau;
+  p.threads = 1;  // one core, like the baselines
   gkm::GraphBuildStats stats;
   std::vector<double> recall(tau, 0.0);
   gkm::BuildKnnGraph(data.vectors, p, &stats,

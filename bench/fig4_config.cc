@@ -68,6 +68,7 @@ int main() {
     gp.kappa = kappa;
     gp.xi = 50;
     gp.tau = tau;
+    gp.threads = 1;  // one core, like the baselines
     const gkm::KnnGraph g = BuildKnnGraph(data.vectors, gp);
     const double rec = recall_of(g);
     run_alg3_bkm.push_back({rec, cluster_with(g, false)});

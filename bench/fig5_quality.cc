@@ -102,6 +102,7 @@ void RunDataset(const std::string& family, std::size_t n,
     p.graph.kappa = 20;
     p.graph.xi = 50;
     p.graph.tau = 8;
+    p.graph.threads = 1;  // one core, like the baselines
     p.clustering.kappa = 20;
     p.clustering.max_iters = iters;
     all.push_back(GkMeansCluster(x, p).clustering);

@@ -65,6 +65,7 @@ std::vector<Row> RunAll(const gkm::Matrix& x, std::size_t k,
     p.graph.kappa = 20;
     p.graph.xi = 50;
     p.graph.tau = 6;
+    p.graph.threads = 1;  // one core, like the baselines
     p.clustering.kappa = 20;
     p.clustering.max_iters = iters;
     const auto r = GkMeansCluster(x, p).clustering;

@@ -92,6 +92,7 @@ int main() {
     gp.kappa = kappa;
     gp.xi = 50;
     gp.tau = 10;
+    gp.threads = 1;  // one core, like the baselines
     const gkm::KnnGraph g = BuildKnnGraph(x, gp);
     const double graph_secs = timer.Seconds();
     gkm::GkMeansParams p;

@@ -1,10 +1,10 @@
 // Copyright 2026 The gkmeans Authors.
 // Minimal fixed-size thread pool with blocking ParallelFor variants. Used
 // for embarrassingly-parallel evaluation work (brute-force ground truth,
-// recall estimation) and for the streaming subsystem's window ingest, whose
-// parallel phase is a pure fan-out over read-only state. The batch
-// clustering algorithms themselves stay single-threaded to match the
-// paper's measurement protocol.
+// recall estimation), for the streaming subsystem's window ingest, whose
+// parallel phase is a pure fan-out over read-only state, and by the batch
+// pipeline to build Alg. 3's 2M trees ahead of their rounds (the rounds
+// themselves stay serial; core/graph_builder.h).
 //
 // ParallelFor/ParallelForSlots track completion with a per-call latch, so
 // any number of threads may fan out on one pool concurrently without

@@ -12,33 +12,46 @@
 #include "common/timer.h"
 #include "core/candidate_harvest.h"
 #include "kmeans/cluster_state.h"
+#include "kmeans/two_means_tree.h"
+#include "obs/trace.h"
 
 namespace gkm {
 
+GkStart MakeGkStart(const Matrix& data, const GkMeansParams& params) {
+  GKM_TRACE_SPAN("core.two_means_tree");
+  Timer timer;
+  GkStart start{{}, Rng(params.seed)};
+  TwoMeansParams tree;
+  tree.k = params.k;
+  tree.bisect_epochs = params.bisect_epochs;
+  start.labels = TwoMeansTree(data, tree, start.rng);
+  start.seconds = timer.Seconds();
+  return start;
+}
+
 ClusteringResult GkMeansWithGraph(const Matrix& data, const KnnGraph& graph,
                                   const GkMeansParams& params) {
+  return GkMeansWithGraph(data, graph, params, MakeGkStart(data, params));
+}
+
+ClusteringResult GkMeansWithGraph(const Matrix& data, const KnnGraph& graph,
+                                  const GkMeansParams& params, GkStart start) {
   const std::size_t n = data.rows();
   const std::size_t d = data.cols();
   const std::size_t k = params.k;
   GKM_CHECK(k > 0 && k <= n);
   GKM_CHECK_MSG(graph.num_nodes() == n, "graph/data size mismatch");
   GKM_CHECK(params.kappa > 0);
+  GKM_CHECK_MSG(start.labels.size() == n, "start/data size mismatch");
 
   ClusteringResult res;
   res.method = params.traditional ? "gk-means-" : "gk-means";
-  Rng rng(params.seed);
+  Rng& rng = start.rng;
+  std::vector<std::uint32_t>& labels = start.labels;
 
-  Timer total;
-  std::vector<std::uint32_t> labels;
-  if (!params.init_labels.empty()) {
-    GKM_CHECK(params.init_labels.size() == n);
-    labels = params.init_labels;
-  } else {
-    TwoMeansParams tree;
-    tree.k = k;
-    tree.bisect_epochs = params.bisect_epochs;
-    labels = TwoMeansTree(data, tree, rng);
-  }
+  // The run's clock starts when obtaining the start did.
+  Timer timer;
+  const auto elapsed = [&] { return start.seconds + timer.Seconds(); };
   // Flattened once per run — the graph is static during batch clustering.
   const std::size_t kappa = std::min(params.kappa, graph.k());
   const std::vector<std::uint32_t> flat = graph.FlattenNeighborIds(kappa);
@@ -53,7 +66,7 @@ ClusteringResult GkMeansWithGraph(const Matrix& data, const KnnGraph& graph,
   std::uint32_t cur_stamp = 0;
   std::vector<std::uint32_t> cand;
   cand.reserve(kappa + 1);
-  res.init_seconds = total.Seconds();
+  res.init_seconds = elapsed();
 
   Timer iter_timer;
   if (!params.traditional) {
@@ -93,7 +106,7 @@ ClusteringResult GkMeansWithGraph(const Matrix& data, const KnnGraph& graph,
         }
       }
       res.trace.push_back(
-          IterStat{it, state.Distortion(), total.Seconds(), moves});
+          IterStat{it, state.Distortion(), elapsed(), moves});
       res.iterations = it + 1;
       if (moves == 0) break;
     }
@@ -139,13 +152,13 @@ ClusteringResult GkMeansWithGraph(const Matrix& data, const KnnGraph& graph,
       state.Rebuild(data, labels);
       centroids = state.Centroids();
       res.trace.push_back(
-          IterStat{it, state.Distortion(), total.Seconds(), moves});
+          IterStat{it, state.Distortion(), elapsed(), moves});
       res.iterations = it + 1;
       if (moves == 0) break;
     }
   }
   res.iter_seconds = iter_timer.Seconds();
-  res.total_seconds = total.Seconds();
+  res.total_seconds = elapsed();
 
   res.distortion = state.Distortion();
   res.centroids = state.Centroids();

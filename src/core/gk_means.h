@@ -17,8 +17,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/matrix.h"
+#include "common/rng.h"
 #include "graph/knn_graph.h"
-#include "kmeans/two_means_tree.h"
 #include "kmeans/types.h"
 
 namespace gkm {
@@ -31,14 +32,32 @@ struct GkMeansParams {
   bool traditional = false;      ///< true = GK-means⁻ (Lloyd-style updates)
   std::size_t bisect_epochs = 6; ///< BKM-2 epochs inside the 2M-tree init
   std::uint64_t seed = 42;
-  /// When non-empty, skips the 2M-tree and starts from these labels
-  /// (Alg. 3 uses this to chain rounds deterministically).
-  std::vector<std::uint32_t> init_labels;
 };
 
-/// Runs Alg. 2 on `data` with candidate clusters harvested from `graph`.
-/// `graph` must span exactly data.rows() nodes. The graph's out-degree may
-/// exceed `kappa`; only the `kappa` closest neighbors are consulted.
+/// The start Alg. 2 continues from: the 2M tree's labels, plus the Rng
+/// state the BKM epochs draw from next. Both come from one Rng(seed), the
+/// tree first, so a start reads `data` and never the graph: Alg. 3 builds
+/// every round's start ahead of the round that needs it.
+struct GkStart {
+  std::vector<std::uint32_t> labels;
+  Rng rng;
+  /// What obtaining the start cost the caller's clock: the tree's build
+  /// time when built inline, the wait when built ahead. Counted in the
+  /// run's init_seconds.
+  double seconds = 0.0;
+};
+
+/// Builds the 2M tree of `params.k` leaves from Rng(params.seed).
+GkStart MakeGkStart(const Matrix& data, const GkMeansParams& params);
+
+/// Runs Alg. 2 on `data` from `start`, with candidate clusters harvested
+/// from `graph`. `graph` must span exactly data.rows() nodes. The graph's
+/// out-degree may exceed `kappa`; only the `kappa` closest neighbors are
+/// consulted. `params.seed` is not read: the start carries the randomness.
+ClusteringResult GkMeansWithGraph(const Matrix& data, const KnnGraph& graph,
+                                  const GkMeansParams& params, GkStart start);
+
+/// Runs Alg. 2 from MakeGkStart(data, params).
 ClusteringResult GkMeansWithGraph(const Matrix& data, const KnnGraph& graph,
                                   const GkMeansParams& params);
 

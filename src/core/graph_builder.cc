@@ -3,17 +3,122 @@
 #include "core/graph_builder.h"
 
 #include <algorithm>
+#include <optional>
+#include <thread>
+#include <utility>
 
 #include "common/distance.h"
 #include "common/macros.h"
+#include "common/mutex.h"
 #include "common/rng.h"
 #include "common/timer.h"
-#include "core/gk_means.h"
+#include "obs/trace.h"
 
 namespace gkm {
 
+std::unique_ptr<ThreadPool> MakeTreePool(std::size_t threads,
+                                         std::size_t trees) {
+  if (threads == 0) {
+    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  }
+  const std::size_t workers = std::min(threads - 1, trees);
+  if (workers == 0) return nullptr;
+  return std::make_unique<ThreadPool>(workers);
+}
+
+// One queued build, shared by its handle and its pool task: the phase and,
+// once done, the start.
+class PendingStart::Build {
+ public:
+  /// Claims the build for the worker that runs it; false once dropped.
+  bool Begin() {
+    MutexLock lock(mu_);
+    if (phase_ == Phase::kDropped) return false;
+    phase_ = Phase::kRunning;
+    return true;
+  }
+
+  void Finish(GkStart start) {
+    {
+      MutexLock lock(mu_);
+      start_ = std::move(start);
+      phase_ = Phase::kDone;
+    }
+    done_cv_.NotifyAll();
+  }
+
+  /// Waits for the build to finish and hands over its start.
+  GkStart Await() {
+    MutexLock lock(mu_);
+    WaitDone();
+    return std::move(*start_);
+  }
+
+  /// Drops the build if no worker has begun it, else waits for it.
+  void DropOrJoin() {
+    MutexLock lock(mu_);
+    if (phase_ == Phase::kQueued) {
+      phase_ = Phase::kDropped;
+      return;
+    }
+    WaitDone();
+  }
+
+ private:
+  enum class Phase { kQueued, kRunning, kDone, kDropped };
+
+  void WaitDone() GKM_REQUIRES(mu_) {
+    done_cv_.Wait(mu_, [this]() GKM_REQUIRES(mu_) {
+      return phase_ == Phase::kDone;
+    });
+  }
+
+  Mutex mu_;
+  CondVar done_cv_;  // signaled when the phase becomes kDone
+  Phase phase_ GKM_GUARDED_BY(mu_) = Phase::kQueued;
+  std::optional<GkStart> start_ GKM_GUARDED_BY(mu_);
+};
+
+PendingStart::PendingStart(const Matrix& data, const GkMeansParams& params)
+    : data_(&data), params_(params) {}
+
+PendingStart::~PendingStart() {
+  // A running build reads *data_, which the caller may free once we return.
+  if (build_ != nullptr) build_->DropOrJoin();
+}
+
+void PendingStart::Queue(ThreadPool* pool) {
+  GKM_CHECK_MSG(build_ == nullptr, "start queued twice");
+  if (pool == nullptr) return;
+  build_ = std::make_shared<Build>();
+  // The task holds its own reference: a dropped build is skipped after its
+  // handle is gone.
+  pool->Submit([build = build_, &data = *data_, params = params_] {
+    if (build->Begin()) build->Finish(MakeGkStart(data, params));
+  });
+}
+
+GkStart PendingStart::Take() {
+  if (build_ == nullptr) return MakeGkStart(*data_, params_);
+  GKM_TRACE_SPAN("core.tree_wait");
+  Timer wait;
+  GkStart start = build_->Await();
+  build_.reset();
+  // Built ahead: only the wait lands on the caller's clock.
+  start.seconds = wait.Seconds();
+  return start;
+}
+
 KnnGraph BuildKnnGraph(const Matrix& data, const GraphBuildParams& params,
                        GraphBuildStats* stats, const RoundObserver& observer) {
+  const std::unique_ptr<ThreadPool> pool =
+      MakeTreePool(params.threads, params.tau);
+  return BuildKnnGraph(data, params, stats, observer, pool.get(), nullptr);
+}
+
+KnnGraph BuildKnnGraph(const Matrix& data, const GraphBuildParams& params,
+                       GraphBuildStats* stats, const RoundObserver& observer,
+                       ThreadPool* pool, PendingStart* then) {
   const std::size_t n = data.rows();
   const std::size_t d = data.cols();
   GKM_CHECK(params.kappa > 0);
@@ -29,43 +134,64 @@ KnnGraph BuildKnnGraph(const Matrix& data, const GraphBuildParams& params,
   // tree keeps actual sizes within +/- a few of xi.
   const std::size_t k0 = std::max<std::size_t>(2, n / params.xi);
 
+  // (i) Each round clusters with the fast k-means itself, guided by the
+  // current graph (Alg. 3 line 7). Fresh seed per round so successive
+  // 2M-trees explore different partitions — that diversity is what keeps
+  // recall climbing. A tree reads only `data` and its seed, so all τ are
+  // queued now, in round order, and built ahead of their rounds; `then`
+  // queues behind them. Starts a round never takes (early stop) are
+  // dropped or joined when `starts` goes out of scope.
+  GkMeansParams inner;
+  inner.k = k0;
+  inner.kappa = params.kappa;
+  inner.max_iters = params.inner_epochs;
+  inner.bisect_epochs = params.bisect_epochs;
+  std::vector<PendingStart> starts;
+  starts.reserve(params.tau);
+  for (std::size_t t = 0; t < params.tau; ++t) {
+    inner.seed = rng.Next();
+    starts.emplace_back(data, inner);
+    starts.back().Queue(pool);
+  }
+  if (then != nullptr) then->Queue(pool);
+
   std::vector<std::vector<std::uint32_t>> clusters(k0);
   for (std::size_t t = 0; t < params.tau; ++t) {
-    // (i) Cluster with the fast k-means itself, guided by the current graph
-    // (Alg. 3 line 7). Fresh seed per round so successive 2M-trees explore
-    // different partitions — that diversity is what keeps recall climbing.
-    GkMeansParams inner;
-    inner.k = k0;
-    inner.kappa = params.kappa;
-    inner.max_iters = params.inner_epochs;
-    inner.bisect_epochs = params.bisect_epochs;
-    inner.seed = rng.Next();
-    const ClusteringResult round = GkMeansWithGraph(data, graph, inner);
+    GkStart start = starts[t].Take();
+    ClusteringResult round;
+    {
+      GKM_TRACE_SPAN("core.graph_epoch");
+      round = GkMeansWithGraph(data, graph, inner, std::move(start));
+    }
 
     // (ii) Exhaustive comparison inside every cluster (Alg. 3 lines 8-14).
     // Members' rows are first gathered into a contiguous scratch matrix:
     // each row participates in ~xi comparisons, so paying one copy per row
     // keeps the quadratic pair loop inside L1/L2 instead of striding
     // through the full dataset (a large win at high dimensionality).
-    for (auto& c : clusters) c.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      clusters[round.assignments[i]].push_back(static_cast<std::uint32_t>(i));
-    }
-    Matrix scratch;
     std::size_t updates = 0;
-    for (const auto& members : clusters) {
-      const std::size_t m = members.size();
-      if (m < 2) continue;
-      scratch.Reset(m, d);
-      for (std::size_t a = 0; a < m; ++a) {
-        scratch.SetRow(a, data.Row(members[a]));
+    {
+      GKM_TRACE_SPAN("core.join");
+      for (auto& c : clusters) c.clear();
+      for (std::size_t i = 0; i < n; ++i) {
+        clusters[round.assignments[i]].push_back(
+            static_cast<std::uint32_t>(i));
       }
-      for (std::size_t a = 0; a < m; ++a) {
-        const float* xa = scratch.Row(a);
-        for (std::size_t b = a + 1; b < m; ++b) {
-          const float dist = L2Sqr(xa, scratch.Row(b), d);
-          updates += static_cast<std::size_t>(
-              graph.UpdateBoth(members[a], members[b], dist));
+      Matrix scratch;
+      for (const auto& members : clusters) {
+        const std::size_t m = members.size();
+        if (m < 2) continue;
+        scratch.Reset(m, d);
+        for (std::size_t a = 0; a < m; ++a) {
+          scratch.SetRow(a, data.Row(members[a]));
+        }
+        for (std::size_t a = 0; a < m; ++a) {
+          const float* xa = scratch.Row(a);
+          for (std::size_t b = a + 1; b < m; ++b) {
+            const float dist = L2Sqr(xa, scratch.Row(b), d);
+            updates += static_cast<std::size_t>(
+                graph.UpdateBoth(members[a], members[b], dist));
+          }
         }
       }
     }

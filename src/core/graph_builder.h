@@ -10,15 +10,25 @@
 // partition quality improve alternately (Fig. 3); unlike NN-Descent the
 // resulting graph carries the intermediate clustering structure, which is
 // why it yields lower final clustering distortion at equal recall (Fig. 4).
+//
+// Threading. A round's 2M tree reads only the data and a seed drawn from
+// the builder's Rng, never the graph, so all τ trees are queued on a
+// thread pool up front and built ahead of the rounds that need them. The
+// graph-guided epoch and the join of each round stay on the calling
+// thread, in round order. The graph, the per-round stats and every label
+// are therefore bit-identical at any thread count.
 
 #ifndef GKM_CORE_GRAPH_BUILDER_H_
 #define GKM_CORE_GRAPH_BUILDER_H_
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/matrix.h"
+#include "common/thread_pool.h"
+#include "core/gk_means.h"
 #include "graph/knn_graph.h"
 
 namespace gkm {
@@ -36,6 +46,11 @@ struct GraphBuildParams {
   /// the hard cap.
   double early_stop_delta = 0.0;
   std::uint64_t seed = 42;
+  /// Threads that build the rounds' 2M trees ahead, the calling thread
+  /// included: 0 means all hardware threads, 1 builds every tree inline,
+  /// in round order. An execution knob only: the graph is bit-identical
+  /// at any value.
+  std::size_t threads = 0;
 };
 
 /// Per-round measurements (the series of Fig. 2).
@@ -49,10 +64,50 @@ struct GraphBuildStats {
 /// Fig. 2 bench to track recall against a sampled ground truth).
 using RoundObserver = std::function<void(std::size_t round, const KnnGraph&)>;
 
-/// Builds an approximate KNN graph over `data` (Alg. 3).
+/// Builds an approximate KNN graph over `data` (Alg. 3), on a pool of
+/// `params.threads` for the trees.
 KnnGraph BuildKnnGraph(const Matrix& data, const GraphBuildParams& params,
                        GraphBuildStats* stats = nullptr,
                        const RoundObserver& observer = {});
+
+/// The pool that builds `trees` 2M trees ahead for `threads` threads (the
+/// GraphBuildParams::threads convention): one worker per thread beyond
+/// the caller's, capped at `trees`. Null when there is no worker to add.
+std::unique_ptr<ThreadPool> MakeTreePool(std::size_t threads,
+                                         std::size_t trees);
+
+/// The start of one Alg. 2 call (MakeGkStart), built ahead on a pool once
+/// queued, or inline by Take when never queued. Destroying a handle drops
+/// a build no worker has begun and waits for one that is running, so
+/// `data` need only outlive the handle.
+class PendingStart {
+ public:
+  PendingStart(const Matrix& data, const GkMeansParams& params);
+  PendingStart(PendingStart&&) noexcept = default;
+  PendingStart& operator=(PendingStart&&) = delete;
+  ~PendingStart();
+
+  /// Submits the build to `pool`; nullptr leaves it to Take. At most once.
+  void Queue(ThreadPool* pool);
+
+  /// Hands over the start, waiting for a queued build to finish. Once only.
+  GkStart Take();
+
+ private:
+  class Build;  // state shared with the pool task
+
+  const Matrix* data_;
+  GkMeansParams params_;
+  std::shared_ptr<Build> build_;  // null until queued on a pool
+};
+
+/// BuildKnnGraph on a caller's pool (nullptr: every tree inline, in round
+/// order). `then`, when given, is queued on the same pool right behind the
+/// τ round trees: GkMeansCluster overlaps its final clustering's tree with
+/// the last rounds this way.
+KnnGraph BuildKnnGraph(const Matrix& data, const GraphBuildParams& params,
+                       GraphBuildStats* stats, const RoundObserver& observer,
+                       ThreadPool* pool, PendingStart* then);
 
 }  // namespace gkm
 

@@ -18,7 +18,9 @@ namespace gkm {
 struct PipelineParams {
   std::size_t k = 8;           ///< final number of clusters
   GkMeansParams clustering;    ///< Alg. 2 options (k is overridden)
-  GraphBuildParams graph;      ///< Alg. 3 options
+  /// Alg. 3 options; `graph.threads` also sizes the pool that builds the
+  /// final clustering's tree behind the round trees.
+  GraphBuildParams graph;
 };
 
 /// Result of the full pipeline: the clustering plus the graph that powered

@@ -111,19 +111,38 @@ TEST(GkMeansTest, BkmModeBeatsTraditionalMode) {
   EXPECT_LT(bkm_total, trad_total);
 }
 
-TEST(GkMeansTest, HonorsInitLabels) {
+TEST(GkMeansTest, HonorsStartLabels) {
   const SyntheticData data = SmallData(100, 105);
   const KnnGraph graph = BruteForceGraph(data.vectors, 5);
   GkMeansParams p;
   p.k = 4;
   p.kappa = 5;
   p.max_iters = 0;
-  p.init_labels.assign(100, 0);
+  GkStart start;
+  start.labels.assign(100, 0);
   for (std::size_t i = 0; i < 100; ++i) {
-    p.init_labels[i] = static_cast<std::uint32_t>(i % 4);
+    start.labels[i] = static_cast<std::uint32_t>(i % 4);
   }
-  const ClusteringResult res = GkMeansWithGraph(data.vectors, graph, p);
-  EXPECT_EQ(res.assignments, p.init_labels);
+  const std::vector<std::uint32_t> want = start.labels;
+  const ClusteringResult res =
+      GkMeansWithGraph(data.vectors, graph, p, std::move(start));
+  EXPECT_EQ(res.assignments, want);
+}
+
+// The three-argument call is the start overload fed by MakeGkStart.
+TEST(GkMeansTest, DefaultStartIsMakeGkStart) {
+  const SyntheticData data = SmallData(300, 108);
+  const KnnGraph graph = BruteForceGraph(data.vectors, 8);
+  GkMeansParams p;
+  p.k = 12;
+  p.kappa = 8;
+  p.seed = 9;
+  const ClusteringResult a = GkMeansWithGraph(data.vectors, graph, p);
+  const ClusteringResult b =
+      GkMeansWithGraph(data.vectors, graph, p, MakeGkStart(data.vectors, p));
+  EXPECT_EQ(a.assignments, b.assignments);
+  EXPECT_EQ(a.distortion, b.distortion);
+  EXPECT_EQ(a.iterations, b.iterations);
 }
 
 TEST(GkMeansTest, KappaLargerThanGraphDegreeIsClamped) {

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
+#include <memory>
+
+#include "common/thread_pool.h"
 #include "dataset/synthetic.h"
 #include "eval/metrics.h"
 #include "graph/brute_force.h"
@@ -129,6 +133,61 @@ TEST(GraphBuilderTest, TauZeroLeavesRandomGraph) {
   const KnnGraph g = BuildKnnGraph(data.vectors, p);
   for (std::size_t i = 0; i < g.num_nodes(); ++i) {
     EXPECT_EQ(g.SortedNeighbors(i).size(), 5u);
+  }
+}
+
+TEST(GraphBuilderTest, PendingStartEqualsMakeGkStart) {
+  const SyntheticData data = SmallData(300, 117);
+  GkMeansParams p;
+  p.k = 10;
+  p.seed = 3;
+  GkStart want = MakeGkStart(data.vectors, p);
+  ThreadPool pool(2);
+  PendingStart ahead(data.vectors, p);
+  ahead.Queue(&pool);
+  PendingStart inline_start(data.vectors, p);
+  inline_start.Queue(nullptr);
+  for (GkStart got : {ahead.Take(), inline_start.Take()}) {
+    EXPECT_EQ(got.labels, want.labels);
+    EXPECT_EQ(got.rng.Next(), Rng(want.rng).Next());
+  }
+}
+
+// A handle destroyed before any worker begins its build drops it: the
+// build never runs, so it never reads the (by then freed) data.
+TEST(GraphBuilderTest, PendingStartDropsAnUnbegunBuild) {
+  ThreadPool pool(1);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  pool.Submit([released] { released.wait(); });  // holds the only worker
+  {
+    const auto data =
+        std::make_unique<SyntheticData>(SmallData(200, 118));
+    GkMeansParams p;
+    p.k = 8;
+    PendingStart start(data->vectors, p);
+    start.Queue(&pool);
+  }
+  release.set_value();
+  pool.Wait();
+}
+
+// Rounds after an early stop never take their starts; the builder drops
+// or joins them before it returns, at any thread count, so freeing the
+// data right after the call is safe.
+TEST(GraphBuilderTest, EarlyStopDropsUntakenStarts) {
+  GraphBuildParams p;
+  p.kappa = 6;
+  p.xi = 10;
+  p.tau = 12;
+  p.early_stop_delta = 10.0;  // no round changes 10 n κ entries
+  for (const std::size_t threads : {1, 2, 4}) {
+    p.threads = threads;
+    auto data = std::make_unique<SyntheticData>(SmallData(400, 119));
+    GraphBuildStats stats;
+    BuildKnnGraph(data->vectors, p, &stats);
+    data.reset();
+    EXPECT_EQ(stats.round_updates.size(), 1u);
   }
 }
 
