@@ -3,7 +3,8 @@
 // an in-process gkm::serve::Server over loopback TCP, measuring
 // end-to-end RPC latency (p50/p99), sustained query throughput, and the
 // admission-control refusal rate, plus a query-only comparison of the
-// routed+replica read path against the single-reader merged baseline.
+// routed fan-out (routed placement, four search workers) against the
+// single-reader merged baseline.
 // Emits BENCH_serve_loadtest.json (schema gkm-bench-v1: p50_us, p99_us,
 // qps, overload_rate, routed_qps, merged_qps, routed_merged_qps_ratio).
 //
@@ -308,30 +309,30 @@ int main(int argc, char** argv) {
   std::remove(base.c_str());
   std::remove(journal.c_str());
 
-  // --- replica fan-out: query-only throughput comparison --------------------
+  // --- routed fan-out: query-only throughput comparison ---------------------
   // Two fresh servers over the same corpus: the classic single-reader
-  // merged baseline vs routed placement + one read replica per shard with
-  // four search workers answering from replica lanes. Same client load (4
-  // query threads); the ratio is the replica-path headline.
+  // merged baseline vs routed placement with four search workers, each
+  // query holding only the reader locks of the shards it routes to. Same
+  // client load (4 query threads); the ratio is the routed fan-out
+  // headline.
   const auto query_only_qps = [&](bool routed) {
     gkm::serve::ServerOptions opts = Options("", "");  // ephemeral, no journal
     opts.params.graph.shards = 4;
     if (routed) {
       opts.params.routed_placement = true;
-      opts.params.read_replicas = 1;
       opts.search_workers = 4;
     }
     std::string err;
     std::unique_ptr<gkm::serve::Server> srv =
         gkm::serve::Server::Start(opts, &err);
-    if (srv == nullptr) Die("replica-compare start: " + err);
+    if (srv == nullptr) Die("fan-out compare start: " + err);
     {
       std::unique_ptr<gkm::serve::Client> seeder = MustConnect(srv->port());
       for (std::size_t b = 0; b < seed_n; b += kSeedWindow) {
         std::vector<std::uint32_t> assigned;
         if (seeder->Insert(gkm::SliceRows(seed_data, b, b + kSeedWindow),
                            &assigned) != gkm::serve::Client::Status::kOk) {
-          Die("replica-compare seed insert failed");
+          Die("fan-out compare seed insert failed");
         }
       }
     }
@@ -362,15 +363,15 @@ int main(int argc, char** argv) {
         static_cast<double>(gkm::obs::MonotonicNanos() - start_ns) * 1e-9;
     srv->Shutdown();
     srv.reset();
-    if (broken.load()) Die("replica-compare transport failure");
-    if (answered.load() == 0) Die("replica-compare: no accepted searches");
+    if (broken.load()) Die("fan-out compare transport failure");
+    if (answered.load() == 0) Die("fan-out compare: no accepted searches");
     return static_cast<double>(answered.load()) / secs;
   };
   const double merged_qps = query_only_qps(false);
   const double routed_qps = query_only_qps(true);
   const double routed_merged_qps_ratio = routed_qps / merged_qps;
   std::printf("\nquery-only fan-out (S=4, %zu threads): merged single-reader "
-              "%.0f qps, routed+replicas %.0f qps (%.2fx)\n",
+              "%.0f qps, routed fan-out %.0f qps (%.2fx)\n",
               kQueryThreads, merged_qps, routed_qps, routed_merged_qps_ratio);
 
   // --- metrics --------------------------------------------------------------
@@ -419,9 +420,9 @@ int main(int argc, char** argv) {
     if (p99_us > 25000.0) Die("p99 latency gate: > 25ms under mixed load");
     if (qps < 1000.0) Die("throughput gate: < 1000 qps under mixed load");
     if (routed_merged_qps_ratio < 1.5) {
-      Die("replica fan-out gate: routed+replica qps < 1.5x single-reader");
+      Die("routed fan-out gate: routed qps < 1.5x single-reader");
     }
-    std::printf("perf gates: OK (p99 <= 25ms, qps >= 1000, replica fan-out "
+    std::printf("perf gates: OK (p99 <= 25ms, qps >= 1000, routed fan-out "
                 ">= 1.5x)\n");
   } else {
     std::printf("perf gates skipped (need >= 4 cores and GKM_SCALE >= 1; "

@@ -115,8 +115,8 @@ struct SearchJob {
 /// FlushOnce, which blocks until work arrives, coalesces whole jobs into a
 /// single Matrix, runs `fn` ONCE at the group's max top-k, and completes
 /// each job with its truncated slice. Multiple consumers may loop
-/// FlushOnce concurrently (the server's replica read path runs several
-/// search workers); each flush drains whole jobs under the lock, so a job
+/// FlushOnce concurrently (the server's `search_workers` option runs
+/// several); each flush drains whole jobs under the lock, so a job
 /// is completed by exactly one worker. Drivable synchronously in tests:
 /// submit from the same thread, then call FlushOnce.
 class SearchBatcher {

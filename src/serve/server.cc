@@ -127,17 +127,16 @@ bool Server::Init(const ServerOptions& opts, std::string* error) {
     delta_log_->SetAutoCompaction(opts_.compaction);
   }
 
-  // The search path prefers the replica table (lock-free snapshot reads,
-  // routed when a router is published) and falls back to routed or merged
-  // leader search when replicas are off — SearchKnnBatchReplica handles
-  // all three cases. Replica/router state is republished after every
-  // applied ingest op, and once here so a resumed server answers from the
-  // same derived state it shut down with.
+  // Every flush answers through the routed batch search, which falls back
+  // to the merged batch search while no router is published (routing off,
+  // S == 1, or before bootstrap). The router is republished after every
+  // applied ingest op, and once here so a resumed server routes with the
+  // same state it shut down with.
   model_->PublishReadState();
   batcher_.emplace(opts_.batch_policy,
                    [this](const Matrix& queries, std::uint32_t topk) {
                      thread_local SearchScratch scratch;  // one per worker
-                     return model_->graph().SearchKnnBatchReplica(
+                     return model_->graph().SearchKnnBatchRouted(
                          queries, topk, scratch);
                    });
   ingest_queue_.emplace(opts_.ingest_queue_capacity);
@@ -394,10 +393,9 @@ void Server::ApplyRemove(IngestOp& op) {
     removes_.fetch_add(1, std::memory_order_relaxed);
   }
   // Removes bypass ObserveWindow (which republishes internally), so the
-  // derived read state — router activity flags, replica snapshots — is
-  // refreshed here, once per accepted op. That keeps replica contents a
-  // pure function of the accepted-op sequence, which the restart
-  // bit-identity gate relies on.
+  // router's active-cluster flags are refreshed here, once per accepted
+  // op. That keeps routing a pure function of the accepted-op sequence,
+  // which the restart bit-identity gate relies on.
   model_->PublishReadState();
   op.conn->SendFrame(MakeRemoveResponse(op.request_id, resp));
 }

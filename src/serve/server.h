@@ -13,9 +13,10 @@
 //                       busy as one batched search (amortizing the shard
 //                       rwlocks and filling SIMD lanes under load, never
 //                       waiting to fill a batch), complete each query
-//                       with its truncated slice. With routed placement +
-//                       read replicas, several workers answer from
-//                       replica lanes without touching the leader's locks
+//                       with its truncated slice. Each flush is one
+//                       SearchKnnBatchRouted call; under routed placement
+//                       a query holds only its home shard's reader lock,
+//                       so several workers rarely contend
 //   ingest worker     — THE only model mutator: pops accepted insert/
 //                       remove ops in queue order, journals each to the
 //                       delta log BEFORE applying, then answers. The
@@ -66,10 +67,9 @@ struct ServerOptions {
   std::size_t ingest_queue_capacity = 64;
 
   /// Search worker threads draining the batcher. One is the classic
-  /// single-reader; more only pay off when the model serves lock-free
-  /// reads — routed placement plus read replicas (params.read_replicas >
-  /// 0), where each flush answers from a replica lane instead of the
-  /// writers' shared locks.
+  /// single-reader; more pay off under routed placement, where each query
+  /// holds only the reader lock of the one or two shards it routes to, so
+  /// concurrent flushes mostly read different shards.
   std::size_t search_workers = 1;
 
   /// Durability: when `checkpoint_base` is non-empty the server resumes

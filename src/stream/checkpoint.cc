@@ -34,7 +34,7 @@ constexpr char kDeltaMagic[4] = {'G', 'K', 'M', 'D'};
 //     the pinned v4 golden stays byte-identical. v2-v4 files load with
 //     storage = kFp32. See docs/checkpoint-format.md.
 // v6: routed placement. Appends the routing params tail (routed_placement,
-//     spill_margin, rebalance_threshold, migrate_budget, read_replicas) to
+//     spill_margin, rebalance_threshold, migrate_budget, a reserved u64) to
 //     the params block, shard 0's per-mode seed table to the cursor block,
 //     a cluster-home block after the representatives, and a per-mode seed
 //     table to every extra shard section. Emitted ONLY when
@@ -93,7 +93,7 @@ void WriteParams(std::FILE* f, const StreamingGkMeansParams& p,
     io::WriteRaw<double>(f, p.spill_margin);
     io::WriteRaw<double>(f, p.rebalance_threshold);
     io::WriteRaw<std::uint64_t>(f, p.migrate_budget);
-    io::WriteRaw<std::uint64_t>(f, p.read_replicas);
+    io::WriteRaw<std::uint64_t>(f, 0);  // reserved field 26 (see ReadParams)
   }
   // ingest_threads is deliberately not persisted: it is an execution knob
   // with no effect on results, and a resumed process sizes its own pool.
@@ -145,12 +145,14 @@ bool ReadParams(io::Reader& r, std::uint32_t version,
   p->spill_margin = 0.35;
   p->rebalance_threshold = 0.0;
   p->migrate_budget = 1024;
-  p->read_replicas = 0;
   if (ok && version >= 6) {
     std::uint8_t routed = 0;
+    // Reserved slot (formerly read_replicas): read and discarded, so v6
+    // files written with any value still load.
+    std::uint64_t reserved = 0;
     ok = r.Read(&routed) && routed <= 1 && r.Read(&p->spill_margin) &&
          r.Read(&p->rebalance_threshold) && ReadSize(r, &p->migrate_budget) &&
-         ReadSize(r, &p->read_replicas);
+         r.Read(&reserved);
     if (ok) p->routed_placement = routed != 0;
   }
   return ok;

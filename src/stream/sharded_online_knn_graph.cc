@@ -321,27 +321,6 @@ std::vector<Neighbor> ShardedOnlineKnnGraph::SearchKnn(
   return merged;
 }
 
-std::optional<std::vector<Neighbor>> ShardedOnlineKnnGraph::SearchKnnInShard(
-    std::size_t s, const float* q, std::size_t topk,
-    SearchScratch& scratch) const {
-  // A stale or corrupt routing table would otherwise index past the shard
-  // vector; answer "no such shard" instead of empty results (which read as
-  // "shard holds nothing near q") or an abort.
-  if (s >= shards_.size()) return std::nullopt;
-  std::vector<Neighbor> out = shards_[s].SearchKnn(q, topk, scratch);
-  if (shards_.size() == 1) return out;
-  for (Neighbor& nb : out) {
-    nb.id = ToGlobal(static_cast<std::uint32_t>(s), nb.id);
-  }
-  return out;
-}
-
-std::vector<std::vector<Neighbor>> ShardedOnlineKnnGraph::SearchKnnBatch(
-    const Matrix& queries, std::size_t topk) const {
-  thread_local SearchScratch scratch;
-  return SearchKnnBatch(queries, topk, scratch);
-}
-
 std::vector<std::vector<Neighbor>> ShardedOnlineKnnGraph::SearchKnnBatch(
     const Matrix& queries, std::size_t topk, SearchScratch& scratch) const {
   const std::size_t num_shards = shards_.size();
@@ -423,31 +402,32 @@ std::size_t ShardedOnlineKnnGraph::RouteShards(const ShardRouter& router,
   return 1;
 }
 
-std::vector<Neighbor> ShardedOnlineKnnGraph::MergeRouted(
-    const std::uint32_t* shard_ids, std::vector<Neighbor>* parts,
-    std::size_t count, std::size_t topk) const {
-  std::vector<Neighbor> merged;
-  if (count == 1) {
-    merged = std::move(parts[0]);
-    for (Neighbor& nb : merged) nb.id = ToGlobal(shard_ids[0], nb.id);
-    if (merged.size() > topk) merged.resize(topk);
-    return merged;
+std::vector<Neighbor> ShardedOnlineKnnGraph::SearchRouted(
+    const ShardRouter& router, const float* q, std::size_t topk,
+    SearchScratch& scratch) const {
+  std::uint32_t targets[2];
+  const std::size_t count =
+      RouteShards(router, q, targets, scratch.pending_dist);
+  if (count == 0) return SearchKnn(q, topk, scratch);
+  route_hits_.Add(1);
+  GKM_COUNTER_ADD("serve.route.hit", 1);
+  if (count == 2) {
+    route_spills_.Add(1);
+    GKM_COUNTER_ADD("serve.route.spill", 1);
   }
-  merged.reserve(count * topk);
-  for (std::size_t i = 0; i < count; ++i) {
-    for (const Neighbor& nb : parts[i]) {
-      merged.push_back(Neighbor{ToGlobal(shard_ids[i], nb.id), nb.dist});
+  // Global ids are distinct, so (dist, id) is a total order and the merge
+  // is deterministic; a single shard's answer is already in that order.
+  std::vector<Neighbor> merged =
+      shards_[targets[0]].SearchKnn(q, topk, scratch);
+  for (Neighbor& nb : merged) nb.id = ToGlobal(targets[0], nb.id);
+  if (count == 2) {
+    for (const Neighbor& nb : shards_[targets[1]].SearchKnn(q, topk, scratch)) {
+      merged.push_back(Neighbor{ToGlobal(targets[1], nb.id), nb.dist});
     }
+    std::sort(merged.begin(), merged.end());
   }
-  std::sort(merged.begin(), merged.end());
   if (merged.size() > topk) merged.resize(topk);
   return merged;
-}
-
-std::vector<Neighbor> ShardedOnlineKnnGraph::SearchKnnRouted(
-    const float* q, std::size_t topk) const {
-  thread_local SearchScratch scratch;
-  return SearchKnnRouted(q, topk, scratch);
 }
 
 std::vector<Neighbor> ShardedOnlineKnnGraph::SearchKnnRouted(
@@ -457,27 +437,7 @@ std::vector<Neighbor> ShardedOnlineKnnGraph::SearchKnnRouted(
     return SearchKnn(q, topk, scratch);
   }
   GKM_TRACE_SPAN("serve.shard.search_routed");
-  std::uint32_t targets[2];
-  const std::size_t count =
-      RouteShards(*router, q, targets, scratch.pending_dist);
-  if (count == 0) return SearchKnn(q, topk, scratch);
-  route_hits_.Add(1);
-  GKM_COUNTER_ADD("serve.route.hit", 1);
-  if (count == 2) {
-    route_spills_.Add(1);
-    GKM_COUNTER_ADD("serve.route.spill", 1);
-  }
-  std::vector<Neighbor> parts[2];
-  for (std::size_t i = 0; i < count; ++i) {
-    parts[i] = shards_[targets[i]].SearchKnn(q, topk, scratch);
-  }
-  return MergeRouted(targets, parts, count, topk);
-}
-
-std::vector<std::vector<Neighbor>> ShardedOnlineKnnGraph::SearchKnnBatchRouted(
-    const Matrix& queries, std::size_t topk) const {
-  thread_local SearchScratch scratch;
-  return SearchKnnBatchRouted(queries, topk, scratch);
+  return SearchRouted(*router, q, topk, scratch);
 }
 
 std::vector<std::vector<Neighbor>> ShardedOnlineKnnGraph::SearchKnnBatchRouted(
@@ -492,139 +452,7 @@ std::vector<std::vector<Neighbor>> ShardedOnlineKnnGraph::SearchKnnBatchRouted(
   }
   std::vector<std::vector<Neighbor>> out(queries.rows());
   for (std::size_t i = 0; i < queries.rows(); ++i) {
-    std::uint32_t targets[2];
-    const std::size_t count =
-        RouteShards(*router, queries.Row(i), targets, scratch.pending_dist);
-    if (count == 0) {
-      out[i] = SearchKnn(queries.Row(i), topk, scratch);
-      continue;
-    }
-    route_hits_.Add(1);
-    GKM_COUNTER_ADD("serve.route.hit", 1);
-    if (count == 2) {
-      route_spills_.Add(1);
-      GKM_COUNTER_ADD("serve.route.spill", 1);
-    }
-    std::vector<Neighbor> parts[2];
-    for (std::size_t t = 0; t < count; ++t) {
-      parts[t] = shards_[targets[t]].SearchKnn(queries.Row(i), topk, scratch);
-    }
-    out[i] = MergeRouted(targets, parts, count, topk);
-  }
-  return out;
-}
-
-void ShardedOnlineKnnGraph::RefreshReplicas(std::size_t per_shard,
-                                            std::uint64_t window) {
-  if (per_shard == 0) {
-    WriterMutexLock guard(publish_mu_);
-    replicas_.reset();
-    return;
-  }
-  GKM_TRACE_SPAN("stream.replica.refresh");
-  auto table = std::make_shared<ReplicaTable>();
-  table->per_shard = per_shard;
-  table->window = window;
-  table->router = router();
-  table->graphs.reserve(shards_.size() * per_shard);
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const OnlineKnnGraph& leader = shards_[s];
-    // Snapshot the leader's checkpoint parts and restore-construct each
-    // lane from them — the exact mechanism checkpoint resume uses, so a
-    // replica's SearchKnn is element-wise identical to the leader's
-    // against the same committed state (search draws its RNG from params
-    // + arena size, both copied here). Ingest-caller context: the shard
-    // is quiescent, which is what the parts accessors require.
-    Sq8ArenaParts sq8;
-    sq8.trained = leader.sq8_trained();
-    if (sq8.trained) {
-      sq8.rows = leader.sq8_norms().size();
-      sq8.codes = leader.sq8_codes();
-      sq8.norms = leader.sq8_norms();
-      sq8.quant = leader.sq8_quantizer();
-    }
-    for (std::size_t r = 0; r < per_shard; ++r) {
-      Sq8ArenaParts lane_sq8 = sq8;
-      table->graphs.push_back(std::make_unique<OnlineKnnGraph>(
-          leader.points(), leader.graph(), ShardParams(params_, s),
-          leader.rng_state(), leader.seed_state(), leader.removal_state(),
-          std::move(lane_sq8), leader.mode_seed_states()));
-    }
-  }
-  GKM_COUNTER_ADD("stream.replica.refresh", 1);
-  WriterMutexLock guard(publish_mu_);
-  replicas_ = std::move(table);
-}
-
-std::shared_ptr<const ReplicaTable> ShardedOnlineKnnGraph::replica_table()
-    const {
-  ReaderMutexLock guard(publish_mu_);
-  return replicas_;
-}
-
-std::vector<std::vector<Neighbor>> ShardedOnlineKnnGraph::SearchKnnBatchReplica(
-    const Matrix& queries, std::size_t topk, SearchScratch& scratch) const {
-  const std::shared_ptr<const ReplicaTable> table = replica_table();
-  if (table == nullptr) {
-    // No replicas published: answer from the leader, routed when a router
-    // is installed (the common pre-bootstrap / replicas-off path).
-    if (router() != nullptr && shards_.size() > 1) {
-      return SearchKnnBatchRouted(queries, topk, scratch);
-    }
-    return SearchKnnBatch(queries, topk, scratch);
-  }
-  GKM_TRACE_SPAN("serve.shard.search_replica");
-  const std::size_t num_shards = shards_.size();
-  // Round-robin lane per batch: concurrent workers spread across lanes,
-  // and because every lane of a generation is an identical copy, lane
-  // choice is invisible in the results.
-  const std::size_t lane =
-      static_cast<std::size_t>(replica_lane_.Next()) % table->per_shard;
-  auto lane_graph = [&](std::size_t s) -> const OnlineKnnGraph& {
-    return *table->graphs[s * table->per_shard + lane];
-  };
-  replica_reads_.Add(queries.rows());
-  GKM_COUNTER_ADD("serve.replica.reads",
-                  static_cast<std::int64_t>(queries.rows()));
-  std::vector<std::vector<Neighbor>> out(queries.rows());
-  for (std::size_t i = 0; i < queries.rows(); ++i) {
-    const float* q = queries.Row(i);
-    std::uint32_t targets[2];
-    std::size_t count = 0;
-    if (table->router != nullptr && num_shards > 1) {
-      count = RouteShards(*table->router, q, targets, scratch.pending_dist);
-      if (count != 0) {
-        route_hits_.Add(1);
-        GKM_COUNTER_ADD("serve.route.hit", 1);
-        if (count == 2) {
-          route_spills_.Add(1);
-          GKM_COUNTER_ADD("serve.route.spill", 1);
-        }
-      }
-    }
-    if (count == 0) {
-      // Merged fallback over this lane's copies (routing off, or no
-      // active cluster yet).
-      std::vector<Neighbor> merged;
-      merged.reserve(num_shards * topk);
-      for (std::size_t s = 0; s < num_shards; ++s) {
-        const std::vector<Neighbor> part =
-            lane_graph(s).SearchKnn(q, topk, scratch);
-        for (const Neighbor& nb : part) {
-          merged.push_back(Neighbor{
-              ToGlobal(static_cast<std::uint32_t>(s), nb.id), nb.dist});
-        }
-      }
-      std::sort(merged.begin(), merged.end());
-      if (merged.size() > topk) merged.resize(topk);
-      out[i] = std::move(merged);
-      continue;
-    }
-    std::vector<Neighbor> parts[2];
-    for (std::size_t t = 0; t < count; ++t) {
-      parts[t] = lane_graph(targets[t]).SearchKnn(q, topk, scratch);
-    }
-    out[i] = MergeRouted(targets, parts, count, topk);
+    out[i] = SearchRouted(*router, queries.Row(i), topk, scratch);
   }
   return out;
 }

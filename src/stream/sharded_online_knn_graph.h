@@ -30,7 +30,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -101,19 +100,6 @@ struct ShardRouter {
   std::vector<std::uint32_t> home;   ///< cluster -> home shard, size k
   std::vector<std::uint8_t> active;  ///< 1 = non-empty cluster, size k
   double spill_margin = 0.35;        ///< runner-up tolerance (squared space)
-};
-
-/// One generation of per-shard read replicas: snapshot copies of every
-/// shard graph taken by the ingest caller after a committed window, plus
-/// the router frozen with them. Query workers fan out across replica
-/// lanes (graphs[s * per_shard + r]) so read throughput scales past the
-/// writer count; every lane of a shard is an identical copy restored from
-/// the same snapshot, so which lane answers never changes the answer.
-struct ReplicaTable {
-  std::vector<std::unique_ptr<OnlineKnnGraph>> graphs;  ///< S * per_shard
-  std::size_t per_shard = 0;
-  std::uint64_t window = 0;  ///< ingest commit the snapshot trails
-  std::shared_ptr<const ShardRouter> router;  ///< null = merged reads
 };
 
 /// S independent online graphs behind one global-id facade.
@@ -239,16 +225,6 @@ class ShardedOnlineKnnGraph {
   std::vector<Neighbor> SearchKnn(const float* q, std::size_t topk,
                                   SearchScratch& scratch) const;
 
-  /// Single-shard query, ids global: the routed-serving fast path when the
-  /// caller knows the target shard (e.g. cluster-affine routing), and the
-  /// stall-independence primitive — it takes only shard `s`'s reader lock,
-  /// so it can never block on any other shard's commit. Returns nullopt
-  /// when `s` is out of range (a routing-table bug at the caller) instead
-  /// of silently answering from the wrong arena or aborting.
-  std::optional<std::vector<Neighbor>> SearchKnnInShard(
-      std::size_t s, const float* q, std::size_t topk,
-      SearchScratch& scratch) const;
-
   /// Publishes a routing table (null clears routing). The ingest caller
   /// installs a fresh table after each committed window; readers snapshot
   /// it per query, so an in-flight search keeps the generation it started
@@ -263,51 +239,25 @@ class ShardedOnlineKnnGraph {
   /// sorted by (dist, id). Falls back to the merged SearchKnn when no
   /// router is installed or S == 1. ~S x less walk work than the merged
   /// fan-out when the spill rate is low (the bench-gated claim).
-  std::vector<Neighbor> SearchKnnRouted(const float* q,
-                                        std::size_t topk) const;
   std::vector<Neighbor> SearchKnnRouted(const float* q, std::size_t topk,
                                         SearchScratch& scratch) const;
   /// Batched routed queries, element-wise identical to per-query
-  /// SearchKnnRouted calls against the same router generation.
-  std::vector<std::vector<Neighbor>> SearchKnnBatchRouted(
-      const Matrix& queries, std::size_t topk) const;
+  /// SearchKnnRouted calls against the same router generation: the router
+  /// is read once per batch, and each query takes only the reader locks
+  /// of the one or two shards it routes to. Falls back to the merged
+  /// SearchKnnBatch when no router is installed or S == 1. The serving
+  /// daemon answers every flushed batch through this call.
   std::vector<std::vector<Neighbor>> SearchKnnBatchRouted(
       const Matrix& queries, std::size_t topk, SearchScratch& scratch) const;
 
-  /// Rebuilds the read-replica table: `per_shard` snapshot copies of every
-  /// shard (restored from the leader's checkpoint parts, so replica
-  /// searches are element-wise identical to leader searches against the
-  /// same state), stamped with the ingest commit `window` and carrying the
-  /// current router. per_shard == 0 clears the table. Ingest-caller only
-  /// (requires the shards quiescent); readers snapshot the table per
-  /// batch, so queries in flight keep the generation they started with.
-  void RefreshReplicas(std::size_t per_shard, std::uint64_t window);
-  /// Current replica table (null until the first refresh).
-  std::shared_ptr<const ReplicaTable> replica_table() const;
-
-  /// Batched queries answered from the replica table: each call picks the
-  /// next replica lane round-robin and answers entirely from that lane's
-  /// snapshot copies — routed when the table carries a router, merged
-  /// otherwise — so concurrent query workers spread across lanes and
-  /// never contend on the leader's shard locks. Falls back to the leader
-  /// (routed when a router is installed) when no table is published.
-  /// Lane choice never changes answers: all lanes of a generation are
-  /// identical copies.
-  std::vector<std::vector<Neighbor>> SearchKnnBatchReplica(
-      const Matrix& queries, std::size_t topk, SearchScratch& scratch) const;
-
-  /// Routing / replica telemetry: queries answered via the routed path,
-  /// routed queries that spilled to a second shard, and batch queries
-  /// answered from a replica lane. Monotonic, relaxed.
+  /// Routing telemetry: queries answered via the routed path, and routed
+  /// queries that spilled to a second shard. Monotonic, relaxed.
   std::uint64_t route_hits() const { return route_hits_.Load(); }
   std::uint64_t route_spills() const { return route_spills_.Load(); }
-  std::uint64_t replica_reads() const { return replica_reads_.Load(); }
 
-  /// Batched serving queries: per-shard SearchKnnBatch (one reader
+  /// Batched merged queries: per-shard SearchKnnBatch (one reader
   /// acquisition per shard per batch), merged per query. Element-wise
   /// identical to per-query SearchKnn calls.
-  std::vector<std::vector<Neighbor>> SearchKnnBatch(const Matrix& queries,
-                                                    std::size_t topk) const;
   std::vector<std::vector<Neighbor>> SearchKnnBatch(
       const Matrix& queries, std::size_t topk, SearchScratch& scratch) const;
 
@@ -323,11 +273,13 @@ class ShardedOnlineKnnGraph {
   std::size_t RouteShards(const ShardRouter& router, const float* q,
                           std::uint32_t out[2], std::vector<float>& dist) const;
 
-  /// Merges per-shard results (already global-id-translated by the caller
-  /// via `shard_of[i]`) into one (dist, id)-ordered top-k.
-  std::vector<Neighbor> MergeRouted(const std::uint32_t* shard_ids,
-                                    std::vector<Neighbor>* parts,
-                                    std::size_t count, std::size_t topk) const;
+  /// The routed body both routed entry points share: routes `q` with
+  /// `router`, searches the one or two target shards and merges their
+  /// answers by (dist, id), or answers with the merged SearchKnn when no
+  /// cluster is active.
+  std::vector<Neighbor> SearchRouted(const ShardRouter& router, const float* q,
+                                     std::size_t topk,
+                                     SearchScratch& scratch) const;
 
   // Movable monotonic counter (mirrors OnlineKnnGraph's pattern: the copy
   // hooks only ever run before concurrent use, when the owning streaming
@@ -342,25 +294,19 @@ class ShardedOnlineKnnGraph {
       return *this;
     }
     void Add(std::uint64_t inc) { v.fetch_add(inc, std::memory_order_relaxed); }
-    std::uint64_t Next() { return v.fetch_add(1, std::memory_order_relaxed); }
     std::uint64_t Load() const { return v.load(std::memory_order_relaxed); }
   };
 
   OnlineGraphParams params_;
   std::vector<OnlineKnnGraph> shards_;
-  // Published routing/replica generations: written by the ingest caller
-  // (pointer swap under the writer side), snapshotted by readers under the
-  // shared side. SharedMutex copy/move semantics (fresh mutex) keep the
-  // facade movable like its shards.
+  // Published routing generation: written by the ingest caller (pointer
+  // swap under the writer side), snapshotted by readers under the shared
+  // side. SharedMutex copy/move semantics (fresh mutex) keep the facade
+  // movable like its shards.
   SharedMutex publish_mu_;
   std::shared_ptr<const ShardRouter> router_ GKM_GUARDED_BY(publish_mu_);
-  std::shared_ptr<const ReplicaTable> replicas_ GKM_GUARDED_BY(publish_mu_);
-  // Round-robin replica lane cursor. Relaxed: lane choice is pure load
-  // spreading — every lane of a generation answers identically.
-  mutable RelaxedCounter replica_lane_;
   mutable RelaxedCounter route_hits_;
   mutable RelaxedCounter route_spills_;
-  mutable RelaxedCounter replica_reads_;
 };
 
 }  // namespace gkm

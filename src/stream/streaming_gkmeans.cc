@@ -341,9 +341,8 @@ void StreamingGkMeans::ObserveWindow(const Matrix& window,
   GKM_GAUGE_SET("stream.points_alive",
                 static_cast<std::int64_t>(graph_.num_alive()));
   ++windows_;
-  // Publish the derived read state for this commit: the query router built
-  // on the post-window centroids, and the replica snapshots serving reads
-  // until the next commit.
+  // Publish the query router built on the post-window centroids; it serves
+  // routed reads until the next commit.
   PublishReadState();
   if (params_.history_limit > 0 && history_.size() >= params_.history_limit) {
     history_.pop_front();
@@ -905,21 +904,19 @@ std::size_t StreamingGkMeans::MigrateMisplaced(std::size_t budget) {
 }
 
 void StreamingGkMeans::PublishReadState() {
-  if (params_.routed_placement && graph_.num_shards() > 1 && bootstrapped_ &&
-      !cluster_home_.empty()) {
-    auto router = std::make_shared<ShardRouter>();
-    router->centroids = state_.Centroids();
-    router->home = cluster_home_;
-    router->active.assign(params_.k, 0);
-    for (std::size_t c = 0; c < params_.k; ++c) {
-      router->active[c] = state_.CountOf(c) > 0 ? 1 : 0;
-    }
-    router->spill_margin = params_.spill_margin;
-    graph_.SetRouter(std::move(router));
+  if (!params_.routed_placement || graph_.num_shards() == 1 || !bootstrapped_ ||
+      cluster_home_.empty()) {
+    return;
   }
-  if (params_.read_replicas > 0) {
-    graph_.RefreshReplicas(params_.read_replicas, windows_);
+  auto router = std::make_shared<ShardRouter>();
+  router->centroids = state_.Centroids();
+  router->home = cluster_home_;
+  router->active.assign(params_.k, 0);
+  for (std::size_t c = 0; c < params_.k; ++c) {
+    router->active[c] = state_.CountOf(c) > 0 ? 1 : 0;
   }
+  router->spill_margin = params_.spill_margin;
+  graph_.SetRouter(std::move(router));
 }
 
 void StreamingGkMeans::Consolidate(std::size_t epochs) {

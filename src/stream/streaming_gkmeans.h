@@ -104,12 +104,6 @@ struct StreamingGkMeansParams {
   /// and re-homing strand rows on foreign shards; a budgeted sweep drains
   /// them lowest global slot first. Persisted (v6).
   std::size_t migrate_budget = 1024;
-  /// Read replicas per shard (snapshot copies refreshed after every
-  /// committed ingest op; 0 disables). Queries against the replica table
-  /// never touch the writers' locks, so read throughput scales past the
-  /// writer count. Persisted (v6); the replicas themselves are derived
-  /// state, rebuilt from the leader on resume.
-  std::size_t read_replicas = 0;
 };
 
 /// Per-window diagnostics (the streaming analogue of IterStat).
@@ -219,13 +213,13 @@ class StreamingGkMeans {
     return cluster_home_;
   }
 
-  /// Rebuilds and republishes the derived read state — the query router
-  /// (post-window centroids + cluster homes) and the read replicas — from
-  /// the current checkpointed model. ObserveWindow calls this at the end
-  /// of every window; ingest front-ends call it after out-of-band
-  /// mutations (the serving daemon's remove opcode) and once after a
-  /// checkpoint resume, so replica contents stay a pure function of the
-  /// accepted-op sequence. No-op unless routing or replicas are enabled.
+  /// Rebuilds and publishes the query router (post-window centroids,
+  /// cluster homes, active-cluster flags) from the current checkpointed
+  /// model. ObserveWindow calls this at the end of every window; ingest
+  /// front-ends call it after out-of-band mutations (the serving daemon's
+  /// remove opcode) and once after a checkpoint resume, so routing stays a
+  /// pure function of the accepted-op sequence. No-op unless routed
+  /// placement is on, S > 1 and the model has bootstrapped.
   void PublishReadState();
   /// Read-only view of the composite-vector statistics (live points only).
   const ClusterState& cluster_state() const { return state_; }

@@ -181,6 +181,97 @@ std::string BuildGoldenTtlCheckpoint(std::size_t shards, StorageMode storage,
   return ReadFileBytes(path);
 }
 
+// Routed (GKMC v6) twins of the checkpoint and journal pins: four fp32
+// shards under routed placement, a rebalance threshold low enough that
+// clusters get re-homed, a migrate budget small enough that their rows
+// move over several windows, and explicit removals after every
+// post-bootstrap window. `RoutedActivity` proves the pin covers each of
+// those paths.
+struct RoutedActivity {
+  std::size_t rehomed = 0;
+  std::size_t migrated = 0;
+  std::size_t removed = 0;
+};
+
+SyntheticData GoldenRoutedData() {
+  SyntheticSpec spec;
+  spec.n = 1800;
+  spec.dim = 16;
+  spec.modes = 9;
+  spec.seed = 456;
+  return MakeGaussianMixture(spec);
+}
+
+StreamingGkMeansParams GoldenRoutedParams() {
+  StreamingGkMeansParams p;
+  p.k = 9;
+  p.kappa = 8;
+  p.graph.kappa = 8;
+  p.graph.beam_width = 24;
+  p.graph.num_seeds = 16;
+  p.graph.bootstrap = 128;
+  p.graph.seed = 77;
+  p.graph.shards = 4;
+  p.bootstrap_min = 256;
+  p.ingest_threads = 1;
+  p.seed = 31;
+  p.routed_placement = true;
+  p.rebalance_threshold = 0.05;
+  p.migrate_budget = 16;
+  return p;
+}
+
+// Feeds rows [begin, end) of `data` in 150-row windows. After each window
+// of a bootstrapped model, every 97th global id from a per-window offset
+// that is still alive is removed. With `log`, every op is journaled before
+// it is applied.
+void FeedRoutedGolden(StreamingGkMeans& model, const Matrix& data,
+                      std::size_t begin, std::size_t end, StreamDeltaLog* log,
+                      RoutedActivity* seen) {
+  const std::size_t window = 150;
+  for (std::size_t b = begin; b < end; b += window) {
+    const Matrix w = SliceRows(data, b, b + window);
+    if (log != nullptr) log->AppendWindow(w);
+    model.ObserveWindow(w);
+    seen->rehomed += model.history().back().rehomed;
+    seen->migrated += model.history().back().migrated;
+    if (!model.bootstrapped()) continue;
+    for (std::size_t id = b / window; id < model.points_seen(); id += 97) {
+      const auto g = static_cast<std::uint32_t>(id);
+      if (!model.graph().IsAlive(g)) continue;
+      if (log != nullptr) log->AppendRemoval(g);
+      model.RemovePoint(g);
+      ++seen->removed;
+    }
+  }
+}
+
+std::string BuildGoldenRoutedCheckpoint(RoutedActivity* seen) {
+  const SyntheticData data = GoldenRoutedData();
+  StreamingGkMeans model(data.vectors.cols(), GoldenRoutedParams());
+  FeedRoutedGolden(model, data.vectors, 0, data.vectors.rows(), nullptr, seen);
+  const std::string path =
+      std::string(::testing::TempDir()) + "/gkm_golden_routed.bin";
+  SaveStreamCheckpoint(path, model);
+  return ReadFileBytes(path);
+}
+
+// The same routed stream cut after 900 rows; the rest, with its removals,
+// is journaled and closed by a state-check digest.
+std::string BuildGoldenRoutedJournal(RoutedActivity* seen) {
+  const SyntheticData data = GoldenRoutedData();
+  StreamingGkMeans model(data.vectors.cols(), GoldenRoutedParams());
+  FeedRoutedGolden(model, data.vectors, 0, 900, nullptr, seen);
+  const std::string base =
+      std::string(::testing::TempDir()) + "/gkm_golden_routed_base.bin";
+  const std::string delta =
+      std::string(::testing::TempDir()) + "/gkm_golden_routed.gkmd";
+  StreamDeltaLog log(base, delta, model);
+  FeedRoutedGolden(model, data.vectors, 900, data.vectors.rows(), &log, seen);
+  log.AppendStateCheck(model);
+  return ReadFileBytes(delta);
+}
+
 // Captured from the GKMC v4 layout (sharded-graph PR; S=1 here). Both
 // halves of the pin matter: the size catches layout drift, the hash
 // catches numeric drift.
@@ -315,6 +406,53 @@ TEST(CheckpointGolden, TtlExpiryBytesAreBitStableSingleShardFp32) {
 TEST(CheckpointGolden, TtlExpiryBytesAreBitStableFourShardsSq8) {
   ExpectTtlPin(4, StorageMode::kSq8, kGoldenTtlHashS4Sq8,
                kGoldenTtlSizeS4Sq8);
+}
+
+// Routed pins, captured while the serving layer still carried read
+// replicas (GKMC v6 params field 26 then held the replica count, 0 for
+// these models). Deleting that layer must not move a byte.
+constexpr std::uint64_t kGoldenRoutedHash = 0xe6bc4464e6542ee6ULL;
+constexpr std::size_t kGoldenRoutedSize = 279847;
+constexpr std::uint64_t kGoldenRoutedJournalHash = 0xcc82faf7e54a9f9dULL;
+constexpr std::size_t kGoldenRoutedJournalSize = 58180;
+
+void ExpectRoutedActivity(const RoutedActivity& seen) {
+  EXPECT_GT(seen.rehomed, 0u) << "the routed pin must cover a rebalance";
+  EXPECT_GT(seen.migrated, 0u) << "the routed pin must cover a migration";
+  EXPECT_GT(seen.removed, 0u) << "the routed pin must cover removals";
+}
+
+TEST(CheckpointGolden, RoutedFourShardBytesAreBitStable) {
+  RoutedActivity seen;
+  const std::string bytes = BuildGoldenRoutedCheckpoint(&seen);
+  const std::uint64_t hash = Fnv1a64(bytes);
+  if (std::getenv("GKM_PRINT_GOLDEN") != nullptr) {
+    std::printf("routed hash = 0x%016llxULL size = %zu rehomed = %zu "
+                "migrated = %zu removed = %zu\n",
+                static_cast<unsigned long long>(hash), bytes.size(),
+                seen.rehomed, seen.migrated, seen.removed);
+    return;
+  }
+  ExpectRoutedActivity(seen);
+  EXPECT_EQ(bytes[4], 6) << "routed models write GKMC v6";
+  EXPECT_EQ(bytes.size(), kGoldenRoutedSize);
+  EXPECT_EQ(hash, kGoldenRoutedHash);
+}
+
+TEST(CheckpointGolden, RoutedDeltaJournalBytesAreBitStable) {
+  RoutedActivity seen;
+  const std::string bytes = BuildGoldenRoutedJournal(&seen);
+  const std::uint64_t hash = Fnv1a64(bytes);
+  if (std::getenv("GKM_PRINT_GOLDEN") != nullptr) {
+    std::printf("routed journal hash = 0x%016llxULL size = %zu rehomed = %zu "
+                "migrated = %zu removed = %zu\n",
+                static_cast<unsigned long long>(hash), bytes.size(),
+                seen.rehomed, seen.migrated, seen.removed);
+    return;
+  }
+  ExpectRoutedActivity(seen);
+  EXPECT_EQ(bytes.size(), kGoldenRoutedJournalSize);
+  EXPECT_EQ(hash, kGoldenRoutedJournalHash);
 }
 
 }  // namespace

@@ -99,7 +99,8 @@ TEST(SearchBatcher, CoalescedEqualsPerQueryOnRealGraph) {
   BatchPolicy policy;
   policy.max_batch = 8;  // 24 pending rows => 3 full flushes
   SearchBatcher batcher(policy, [&graph](const Matrix& q, std::uint32_t k) {
-    return graph.SearchKnnBatch(q, k);
+    thread_local SearchScratch scratch;
+    return graph.SearchKnnBatch(q, k, scratch);
   });
 
   // 20 single-row jobs with topk cycling through {3, 7, 10} plus one

@@ -269,14 +269,13 @@ TEST(ServeLoop, RestartFromCheckpointAnswersBitIdentical) {
   EXPECT_EQ(slurp(TempPath("serve_a.gkmc")), slurp(TempPath("serve_b.gkmc")));
 }
 
-TEST(ServeLoop, RoutedReplicaWorkersServeConcurrentClients) {
-  // Routed placement + read replicas + several search workers draining
-  // one SearchBatcher concurrently (the multi-consumer FlushOnce path),
-  // with replica-table republication racing the reads. Served answers
-  // must match a local model's replica reads against the same stream.
+TEST(ServeLoop, RoutedWorkersServeConcurrentClients) {
+  // Routed placement + several search workers draining one SearchBatcher
+  // concurrently (the multi-consumer FlushOnce path), with ingest commits
+  // and router republication racing the reads. Served answers must match
+  // a local model's routed batch search against the same stream.
   ServerOptions opts = SmallServer();
   opts.params.routed_placement = true;
-  opts.params.read_replicas = 1;
   opts.search_workers = 3;
   std::string error;
   std::unique_ptr<Server> server = Server::Start(opts, &error);
@@ -323,7 +322,7 @@ TEST(ServeLoop, RoutedReplicaWorkersServeConcurrentClients) {
   for (std::thread& th : searchers) th.join();
 
   // Quiescent now: the served answer must be exactly the local model's
-  // replica read against the same accepted-op sequence.
+  // routed batch search against the same accepted-op sequence.
   StreamingGkMeans local(kDim, opts.params);
   for (std::size_t b = 0; b < 400; b += 100) {
     local.ObserveWindow(SliceRows(seed_data, b, b + 100));
@@ -346,7 +345,7 @@ TEST(ServeLoop, RoutedReplicaWorkersServeConcurrentClients) {
   const Matrix queries = MakeData(20, 300);
   SearchScratch scratch;
   const std::vector<std::vector<Neighbor>> direct =
-      local.graph().SearchKnnBatchReplica(queries, 5, scratch);
+      local.graph().SearchKnnBatchRouted(queries, 5, scratch);
   std::vector<std::vector<Neighbor>> served;
   ASSERT_EQ(ingest_client->BatchSearch(queries, 5, &served),
             Client::Status::kOk);
@@ -357,7 +356,7 @@ TEST(ServeLoop, RoutedReplicaWorkersServeConcurrentClients) {
       EXPECT_EQ(served[q][j], direct[q][j]) << "query " << q << " rank " << j;
     }
   }
-  EXPECT_GT(local.graph().replica_reads(), 0u);
+  EXPECT_GT(local.graph().route_hits(), 0u);
   server->Shutdown();
 }
 

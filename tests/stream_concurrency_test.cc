@@ -411,16 +411,17 @@ TEST(StreamConcurrencyTest, ShardSearchIsNotBlockedByForeignShardCommits) {
   std::atomic<std::size_t> searches{0};
   std::atomic<bool> ok{true};
   const SyntheticData queries = StreamData(64, 77);
+  const std::size_t shard0_size = shard0_rows.rows();
   auto serve = [&]() {
     SearchScratch scratch;
     std::size_t q = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      const auto got = graph.SearchKnnInShard(
-          0, queries.vectors.Row(q % queries.vectors.rows()), 10, scratch);
-      bool good = got.has_value() && !got->empty() && got->size() <= 10;
-      for (std::size_t i = 0; good && i < got->size(); ++i) {
-        good = good && (*got)[i].id % 2 == 0;  // shard-0 global ids are even
-        if (i > 0) good = good && (*got)[i - 1].dist <= (*got)[i].dist;
+      const std::vector<Neighbor> got = graph.shard(0).SearchKnn(
+          queries.vectors.Row(q % queries.vectors.rows()), 10, scratch);
+      bool good = !got.empty() && got.size() <= 10;
+      for (std::size_t i = 0; good && i < got.size(); ++i) {
+        good = good && got[i].id < shard0_size;  // shard 0's local slots
+        if (i > 0) good = good && got[i - 1].dist <= got[i].dist;
       }
       if (!good) ok.store(false);
       searches.fetch_add(1);

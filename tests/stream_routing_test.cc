@@ -2,18 +2,17 @@
 // Tests for cluster-routed shard placement: home-shard invariants after
 // ingest/churn/migration, routed-vs-merged search quality, checkpoint
 // byte-identity across thread counts and across a save/resume that lands
-// mid-migration, replica read equality, and the GKMC v6 round trip.
+// mid-migration, and the GKMC v6 round trip (including its reserved
+// params slot).
 
 #include <cstdio>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dataset/synthetic.h"
-#include "common/thread_pool.h"
 #include "stream/checkpoint.h"
 #include "stream/sharded_online_knn_graph.h"
 #include "stream/streaming_gkmeans.h"
@@ -78,31 +77,6 @@ std::uint32_t FileVersion(const std::string& bytes) {
   return v;
 }
 
-TEST(StreamRoutingTest, SearchKnnInShardRejectsOutOfRangeShard) {
-  OnlineGraphParams p;
-  p.kappa = 8;
-  p.beam_width = 24;
-  p.shards = 2;
-  ShardedOnlineKnnGraph graph(kDim, p);
-  const SyntheticData data = StreamData(200);
-  ThreadPool pool;
-  graph.InsertBatch(data.vectors, &pool);
-
-  SearchScratch scratch;
-  const float* q = data.vectors.Row(0);
-  const std::optional<std::vector<Neighbor>> ok =
-      graph.SearchKnnInShard(1, q, 5, scratch);
-  ASSERT_TRUE(ok.has_value());
-  EXPECT_FALSE(ok->empty());
-  for (std::size_t i = 1; i < ok->size(); ++i) {
-    EXPECT_LE((*ok)[i - 1].dist, (*ok)[i].dist);
-  }
-  // A routing-table bug at the caller must surface as nullopt, not as an
-  // answer from the wrong arena (or a crash).
-  EXPECT_FALSE(graph.SearchKnnInShard(2, q, 5, scratch).has_value());
-  EXPECT_FALSE(graph.SearchKnnInShard(57, q, 5, scratch).has_value());
-}
-
 TEST(StreamRoutingTest, RoutedPlacementKeepsPointsOnHomeShards) {
   StreamingGkMeans model(kDim, RoutedParams());
   const SyntheticData data = StreamData(1600);
@@ -145,12 +119,17 @@ TEST(StreamRoutingTest, RoutedSearchKeepsMergedQuality) {
 
   const SyntheticData queries = StreamData(50, 99);
   SearchScratch scratch;
+  // The batched routed call answers element-wise like per-query calls.
+  const std::vector<std::vector<Neighbor>> batch =
+      model.graph().SearchKnnBatchRouted(queries.vectors, 10, scratch);
+  ASSERT_EQ(batch.size(), queries.vectors.rows());
   std::size_t hits = 0, want = 0;
   for (std::size_t q = 0; q < queries.vectors.rows(); ++q) {
     const float* x = queries.vectors.Row(q);
     const std::vector<Neighbor> merged = model.graph().SearchKnn(x, 10, scratch);
     const std::vector<Neighbor> routed =
         model.graph().SearchKnnRouted(x, 10, scratch);
+    EXPECT_EQ(routed, batch[q]) << "query " << q;
     ASSERT_FALSE(routed.empty());
     for (std::size_t i = 1; i < routed.size(); ++i) {
       EXPECT_LE(routed[i - 1].dist, routed[i].dist);
@@ -170,6 +149,7 @@ TEST(StreamRoutingTest, RoutedSearchKeepsMergedQuality) {
   // overlap high.
   EXPECT_GE(static_cast<double>(hits) / static_cast<double>(want), 0.8);
   EXPECT_GT(model.graph().route_hits(), 0u);
+  EXPECT_GT(model.graph().route_spills(), 0u);
 }
 
 TEST(StreamRoutingTest, RoutedCheckpointBytesIdenticalAcrossThreadCounts) {
@@ -226,59 +206,11 @@ TEST(StreamRoutingTest, RoutedCheckpointBytesIdenticalAcrossMidMigrationResume) 
   std::remove(pb.c_str());
 }
 
-TEST(StreamRoutingTest, ReplicaReadsMatchLeaderAndTrailByOneWindow) {
-  StreamingGkMeansParams p = RoutedParams();
-  p.read_replicas = 1;
-  StreamingGkMeans model(kDim, p);
-  const SyntheticData data = StreamData(1600);
-  Feed(model, data.vectors, 200);
-  ASSERT_TRUE(model.bootstrapped());
-
-  const std::shared_ptr<const ReplicaTable> table =
-      model.graph().replica_table();
-  ASSERT_NE(table, nullptr);
-  EXPECT_EQ(table->window, model.windows_seen());
-  EXPECT_NE(table->router, nullptr);
-
-  // Replica answers are element-wise identical to the leader's routed
-  // answers against the same committed window — the replicas are restored
-  // from the leader's own checkpoint parts.
-  const SyntheticData queries = StreamData(32, 99);
-  SearchScratch scratch;
-  const std::vector<std::vector<Neighbor>> leader =
-      model.graph().SearchKnnBatchRouted(queries.vectors, 10, scratch);
-  const std::vector<std::vector<Neighbor>> replica =
-      model.graph().SearchKnnBatchReplica(queries.vectors, 10, scratch);
-  ASSERT_EQ(leader.size(), replica.size());
-  for (std::size_t q = 0; q < leader.size(); ++q) {
-    ASSERT_EQ(leader[q].size(), replica[q].size()) << "query " << q;
-    for (std::size_t i = 0; i < leader[q].size(); ++i) {
-      EXPECT_EQ(leader[q][i].id, replica[q][i].id);
-      EXPECT_EQ(leader[q][i].dist, replica[q][i].dist);
-    }
-  }
-  EXPECT_GT(model.graph().replica_reads(), 0u);
-
-  // A generation in flight keeps its window while the writer commits the
-  // next one: the captured table is immutable, the fresh table trails the
-  // leader by zero windows again.
-  const std::uint64_t before = table->window;
-  const SyntheticData more = StreamData(200, 31);
-  model.ObserveWindow(more.vectors);
-  EXPECT_EQ(table->window, before);
-  const std::shared_ptr<const ReplicaTable> fresh =
-      model.graph().replica_table();
-  ASSERT_NE(fresh, nullptr);
-  EXPECT_EQ(fresh->window, model.windows_seen());
-  EXPECT_NE(fresh, table);
-}
-
 TEST(StreamRoutingTest, V6RoundTripRestoresRoutingState) {
   StreamingGkMeansParams p = RoutedParams();
   p.spill_margin = 0.5;
   p.rebalance_threshold = 0.25;
   p.migrate_budget = 512;
-  p.read_replicas = 2;
   StreamingGkMeans model(kDim, p);
   const SyntheticData data = StreamData(1600);
   Feed(model, data.vectors, 200);
@@ -286,14 +218,31 @@ TEST(StreamRoutingTest, V6RoundTripRestoresRoutingState) {
 
   const std::string path = TempPath("routed_v6.ckpt");
   SaveStreamCheckpoint(path, model);
-  EXPECT_EQ(FileVersion(ReadFileBytes(path)), 6u);
+  const std::string original = ReadFileBytes(path);
+  EXPECT_EQ(FileVersion(original), 6u);
 
-  StreamingGkMeans back = LoadStreamCheckpoint(path);
+  // Params field 26 is reserved: it held the read-replica count in files
+  // written before the replica layer was removed. It sits after the 8-byte
+  // header, 21 eight-byte fields, the u8 routed flag and three more
+  // eight-byte fields. A file carrying 2 there must still load.
+  constexpr std::size_t kReservedOffset = 8 + 21 * 8 + 1 + 3 * 8;
+  std::uint64_t slot = 0;
+  std::memcpy(&slot, original.data() + kReservedOffset, sizeof(slot));
+  ASSERT_EQ(slot, 0u);
+  std::string legacy = original;
+  slot = 2;
+  std::memcpy(legacy.data() + kReservedOffset, &slot, sizeof(slot));
+  const std::string legacy_path = TempPath("routed_v6_legacy.ckpt");
+  std::FILE* f = std::fopen(legacy_path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(legacy.data(), 1, legacy.size(), f), legacy.size());
+  std::fclose(f);
+
+  StreamingGkMeans back = LoadStreamCheckpoint(legacy_path);
   EXPECT_TRUE(back.params().routed_placement);
   EXPECT_EQ(back.params().spill_margin, 0.5);
   EXPECT_EQ(back.params().rebalance_threshold, 0.25);
   EXPECT_EQ(back.params().migrate_budget, 512u);
-  EXPECT_EQ(back.params().read_replicas, 2u);
   EXPECT_EQ(back.cluster_home(), model.cluster_home());
   EXPECT_EQ(back.labels(), model.labels());
 
@@ -311,11 +260,13 @@ TEST(StreamRoutingTest, V6RoundTripRestoresRoutingState) {
     }
   }
 
-  // Re-saving the restored model reproduces the file byte for byte.
+  // Re-saving the restored model reproduces the original file byte for
+  // byte, with 0 back in the reserved slot.
   const std::string again = TempPath("routed_v6_again.ckpt");
   SaveStreamCheckpoint(again, back);
-  EXPECT_EQ(ReadFileBytes(path), ReadFileBytes(again));
+  EXPECT_EQ(ReadFileBytes(again), original);
   std::remove(path.c_str());
+  std::remove(legacy_path.c_str());
   std::remove(again.c_str());
 }
 

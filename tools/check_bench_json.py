@@ -55,8 +55,8 @@ REQUIRED_KEYS = {
         "p99_us",
         "qps",
         "overload_rate",
-        # Replica read path: routed+replica fan-out vs the single-reader
-        # merged baseline over the same corpus.
+        # Routed fan-out (routed placement, four search workers) vs the
+        # single-reader merged baseline over the same corpus.
         "routed_qps",
         "merged_qps",
         "routed_merged_qps_ratio",
