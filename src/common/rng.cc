@@ -2,10 +2,19 @@
 
 #include "common/rng.h"
 
+#include <algorithm>
 #include <cmath>
 #include <unordered_set>
 
 namespace gkm {
+
+namespace {
+
+// Largest sparse SampleDistinct count that checks repeats by a linear scan
+// over the values drawn so far (κ+1 candidates of the random graph init).
+constexpr std::size_t kSampleScanMax = 64;
+
+}  // namespace
 
 double Rng::Sqrt(double x) { return std::sqrt(x); }
 double Rng::Log(double x) { return std::log(x); }
@@ -23,7 +32,19 @@ std::vector<std::uint32_t> Rng::SampleDistinct(std::size_t n,
     all.resize(count);
     return all;
   }
-  // Sparse regime: Floyd's algorithm, O(count) expected insertions.
+  // Sparse regime: Floyd's algorithm, O(count) expected insertions. The
+  // values drawn so far are exactly `out`: a short one is scanned in
+  // place, a long one is mirrored in a hash set. Both give one output.
+  if (count <= kSampleScanMax) {
+    for (std::size_t j = n - count; j < n; ++j) {
+      auto t = static_cast<std::uint32_t>(Index(j + 1));
+      if (std::find(out.begin(), out.end(), t) != out.end()) {
+        t = static_cast<std::uint32_t>(j);
+      }
+      out.push_back(t);
+    }
+    return out;
+  }
   std::unordered_set<std::uint32_t> seen;
   seen.reserve(count * 2);
   for (std::size_t j = n - count; j < n; ++j) {

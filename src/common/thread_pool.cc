@@ -118,6 +118,16 @@ void ThreadPool::ParallelForSlots(
   latch.Await();
 }
 
+void ParallelForSlots(
+    ThreadPool* pool, std::size_t begin, std::size_t end,
+    const std::function<void(std::size_t, std::size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->ParallelForSlots(begin, end, fn);
+    return;
+  }
+  for (std::size_t i = begin; i < end; ++i) fn(0, i);
+}
+
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;

@@ -3,8 +3,10 @@
 // for embarrassingly-parallel evaluation work (brute-force ground truth,
 // recall estimation), for the streaming subsystem's window ingest, whose
 // parallel phase is a pure fan-out over read-only state, and by the batch
-// pipeline to build Alg. 3's 2M trees ahead of their rounds (the rounds
-// themselves stay serial; core/graph_builder.h).
+// pipeline: one pool builds Alg. 3's 2M trees ahead of their rounds, and a
+// second runs each round's per-cluster joins and graph flatten, whose
+// tasks write disjoint lists. The rounds themselves, and their Δ-I
+// epochs, stay in order on the calling thread (core/graph_builder.h).
 //
 // ParallelFor/ParallelForSlots track completion with a per-call latch, so
 // any number of threads may fan out on one pool concurrently without
@@ -79,6 +81,16 @@ class ThreadPool {
   std::size_t in_flight_ GKM_GUARDED_BY(mu_) = 0;
   bool stop_ GKM_GUARDED_BY(mu_) = false;
 };
+
+/// pool->ParallelForSlots(begin, end, fn), or fn(0, i) for every i in
+/// order on the calling thread when `pool` is null.
+void ParallelForSlots(ThreadPool* pool, std::size_t begin, std::size_t end,
+                      const std::function<void(std::size_t, std::size_t)>& fn);
+
+/// The slots ParallelForSlots(pool, ...) hands out: one when `pool` is null.
+inline std::size_t NumSlots(const ThreadPool* pool) {
+  return pool == nullptr ? 1 : pool->num_threads();
+}
 
 }  // namespace gkm
 

@@ -35,7 +35,8 @@ ClusteringResult GkMeansWithGraph(const Matrix& data, const KnnGraph& graph,
 }
 
 ClusteringResult GkMeansWithGraph(const Matrix& data, const KnnGraph& graph,
-                                  const GkMeansParams& params, GkStart start) {
+                                  const GkMeansParams& params, GkStart start,
+                                  ThreadPool* pool) {
   const std::size_t n = data.rows();
   const std::size_t d = data.cols();
   const std::size_t k = params.k;
@@ -54,7 +55,8 @@ ClusteringResult GkMeansWithGraph(const Matrix& data, const KnnGraph& graph,
   const auto elapsed = [&] { return start.seconds + timer.Seconds(); };
   // Flattened once per run — the graph is static during batch clustering.
   const std::size_t kappa = std::min(params.kappa, graph.k());
-  const std::vector<std::uint32_t> flat = graph.FlattenNeighborIds(kappa);
+  const std::vector<std::uint32_t> flat =
+      graph.FlattenNeighborIds(kappa, pool);
 
   ClusterState state(data, labels, k);
   std::vector<float> norms(n);

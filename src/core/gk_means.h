@@ -19,6 +19,7 @@
 
 #include "common/matrix.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "graph/knn_graph.h"
 #include "kmeans/types.h"
 
@@ -54,8 +55,11 @@ GkStart MakeGkStart(const Matrix& data, const GkMeansParams& params);
 /// from `graph`. `graph` must span exactly data.rows() nodes. The graph's
 /// out-degree may exceed `kappa`; only the `kappa` closest neighbors are
 /// consulted. `params.seed` is not read: the start carries the randomness.
+/// `pool`, when given, flattens the graph on its workers; the epochs run
+/// on the calling thread, so the result is the same at any pool size.
 ClusteringResult GkMeansWithGraph(const Matrix& data, const KnnGraph& graph,
-                                  const GkMeansParams& params, GkStart start);
+                                  const GkMeansParams& params, GkStart start,
+                                  ThreadPool* pool = nullptr);
 
 /// Runs Alg. 2 from MakeGkStart(data, params).
 ClusteringResult GkMeansWithGraph(const Matrix& data, const KnnGraph& graph,

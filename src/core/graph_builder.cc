@@ -16,12 +16,44 @@
 
 namespace gkm {
 
+namespace {
+
+// The GraphBuildParams::threads convention: 0 means all hardware threads.
+std::size_t ResolveThreads(std::size_t threads) {
+  if (threads != 0) return threads;
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
+// Exhaustive comparison inside one cluster (Alg. 3 lines 8-14); returns
+// the number of list entries changed. Members' rows are first gathered
+// into `scratch`: each row participates in ~xi comparisons, so paying one
+// copy per row keeps the quadratic pair loop inside L1/L2 instead of
+// striding through the full dataset (a large win at high dimensionality).
+std::size_t JoinCluster(const Matrix& data,
+                        const std::vector<std::uint32_t>& members,
+                        Matrix& scratch, KnnGraph& graph) {
+  const std::size_t m = members.size();
+  if (m < 2) return 0;
+  const std::size_t d = data.cols();
+  scratch.Reset(m, d);
+  for (std::size_t a = 0; a < m; ++a) scratch.SetRow(a, data.Row(members[a]));
+  std::size_t updates = 0;
+  for (std::size_t a = 0; a < m; ++a) {
+    const float* xa = scratch.Row(a);
+    for (std::size_t b = a + 1; b < m; ++b) {
+      const float dist = L2Sqr(xa, scratch.Row(b), d);
+      updates += static_cast<std::size_t>(
+          graph.UpdateBoth(members[a], members[b], dist));
+    }
+  }
+  return updates;
+}
+
+}  // namespace
+
 std::unique_ptr<ThreadPool> MakeTreePool(std::size_t threads,
                                          std::size_t trees) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  const std::size_t workers = std::min(threads - 1, trees);
+  const std::size_t workers = std::min(ResolveThreads(threads) - 1, trees);
   if (workers == 0) return nullptr;
   return std::make_unique<ThreadPool>(workers);
 }
@@ -120,7 +152,6 @@ KnnGraph BuildKnnGraph(const Matrix& data, const GraphBuildParams& params,
                        GraphBuildStats* stats, const RoundObserver& observer,
                        ThreadPool* pool, PendingStart* then) {
   const std::size_t n = data.rows();
-  const std::size_t d = data.cols();
   GKM_CHECK(params.kappa > 0);
   GKM_CHECK(params.xi >= 2);
   GKM_CHECK_MSG(n > params.kappa, "need more points than graph degree");
@@ -128,7 +159,6 @@ KnnGraph BuildKnnGraph(const Matrix& data, const GraphBuildParams& params,
   Rng rng(params.seed);
   Timer total;
   KnnGraph graph(n, params.kappa);
-  graph.InitRandom(data, rng);
 
   // k0 = floor(n / xi) clusters of expected size xi (Alg. 3 line 5); the 2M
   // tree keeps actual sizes within +/- a few of xi.
@@ -138,9 +168,12 @@ KnnGraph BuildKnnGraph(const Matrix& data, const GraphBuildParams& params,
   // current graph (Alg. 3 line 7). Fresh seed per round so successive
   // 2M-trees explore different partitions — that diversity is what keeps
   // recall climbing. A tree reads only `data` and its seed, so all τ are
-  // queued now, in round order, and built ahead of their rounds; `then`
-  // queues behind them. Starts a round never takes (early stop) are
-  // dropped or joined when `starts` goes out of scope.
+  // queued as soon as their seeds are drawn, in round order, and built
+  // ahead of their rounds; `then` queues behind them. The seeds follow
+  // the random init's candidate draws on the Rng, so those are drawn
+  // first and scored (Alg. 3 line 4) while tree 0 builds. Starts a round
+  // never takes (early stop) are dropped or joined when `starts` goes out
+  // of scope.
   GkMeansParams inner;
   inner.k = k0;
   inner.kappa = params.kappa;
@@ -148,12 +181,27 @@ KnnGraph BuildKnnGraph(const Matrix& data, const GraphBuildParams& params,
   inner.bisect_epochs = params.bisect_epochs;
   std::vector<PendingStart> starts;
   starts.reserve(params.tau);
-  for (std::size_t t = 0; t < params.tau; ++t) {
-    inner.seed = rng.Next();
-    starts.emplace_back(data, inner);
-    starts.back().Queue(pool);
+  {
+    GKM_TRACE_SPAN("core.init_random");
+    const std::vector<std::uint32_t> candidates =
+        graph.DrawRandomCandidates(rng);
+    for (std::size_t t = 0; t < params.tau; ++t) {
+      inner.seed = rng.Next();
+      starts.emplace_back(data, inner);
+      starts.back().Queue(pool);
+    }
+    if (then != nullptr) then->Queue(pool);
+    graph.ScoreRandomCandidates(data, candidates);
   }
-  if (then != nullptr) then->Queue(pool);
+
+  // The rounds' joins and graph flattens run on their own pool: the tree
+  // pool's FIFO queue holds up to τ+1 trees, which their chunks would wait
+  // behind. The calling thread waits on it, so it has `threads` workers.
+  const std::size_t threads = ResolveThreads(params.threads);
+  const std::unique_ptr<ThreadPool> data_pool =
+      threads > 1 && params.tau > 0 ? std::make_unique<ThreadPool>(threads)
+                                    : nullptr;
+  std::vector<Matrix> scratch(NumSlots(data_pool.get()));
 
   std::vector<std::vector<std::uint32_t>> clusters(k0);
   for (std::size_t t = 0; t < params.tau; ++t) {
@@ -161,14 +209,15 @@ KnnGraph BuildKnnGraph(const Matrix& data, const GraphBuildParams& params,
     ClusteringResult round;
     {
       GKM_TRACE_SPAN("core.graph_epoch");
-      round = GkMeansWithGraph(data, graph, inner, std::move(start));
+      round = GkMeansWithGraph(data, graph, inner, std::move(start),
+                               data_pool.get());
     }
 
     // (ii) Exhaustive comparison inside every cluster (Alg. 3 lines 8-14).
-    // Members' rows are first gathered into a contiguous scratch matrix:
-    // each row participates in ~xi comparisons, so paying one copy per row
-    // keeps the quadratic pair loop inside L1/L2 instead of striding
-    // through the full dataset (a large win at high dimensionality).
+    // The clusters partition the nodes and a cluster's pairs touch only
+    // its members' lists, so the joins write disjoint lists and run side
+    // by side. Each list still receives the same offers in the same order,
+    // so the graph is bit-identical at any thread count.
     std::size_t updates = 0;
     {
       GKM_TRACE_SPAN("core.join");
@@ -177,23 +226,13 @@ KnnGraph BuildKnnGraph(const Matrix& data, const GraphBuildParams& params,
         clusters[round.assignments[i]].push_back(
             static_cast<std::uint32_t>(i));
       }
-      Matrix scratch;
-      for (const auto& members : clusters) {
-        const std::size_t m = members.size();
-        if (m < 2) continue;
-        scratch.Reset(m, d);
-        for (std::size_t a = 0; a < m; ++a) {
-          scratch.SetRow(a, data.Row(members[a]));
-        }
-        for (std::size_t a = 0; a < m; ++a) {
-          const float* xa = scratch.Row(a);
-          for (std::size_t b = a + 1; b < m; ++b) {
-            const float dist = L2Sqr(xa, scratch.Row(b), d);
-            updates += static_cast<std::size_t>(
-                graph.UpdateBoth(members[a], members[b], dist));
-          }
-        }
-      }
+      std::vector<std::size_t> slot_updates(scratch.size(), 0);
+      ParallelForSlots(data_pool.get(), 0, k0,
+                       [&](std::size_t slot, std::size_t c) {
+                         slot_updates[slot] += JoinCluster(
+                             data, clusters[c], scratch[slot], graph);
+                       });
+      for (const std::size_t u : slot_updates) updates += u;
     }
 
     if (stats != nullptr) {

@@ -13,10 +13,15 @@
 //
 // Threading. A round's 2M tree reads only the data and a seed drawn from
 // the builder's Rng, never the graph, so all τ trees are queued on a
-// thread pool up front and built ahead of the rounds that need them. The
-// graph-guided epoch and the join of each round stay on the calling
-// thread, in round order. The graph, the per-round stats and every label
-// are therefore bit-identical at any thread count.
+// thread pool and built ahead of the rounds that need them; the random
+// init's candidates are drawn before the seeds and scored while tree 0
+// builds. A round's clusters partition the nodes and each cluster's join
+// writes only its members' lists, so the joins run side by side on a
+// second pool, as does the per-node sort that flattens the graph for the
+// round's epoch. The graph-guided Δ-I epochs stay on the calling thread,
+// in round order. Every list sees the same offers in the same order
+// whatever the pools' sizes, so the graph, the per-round stats and every
+// label are bit-identical at any thread count.
 
 #ifndef GKM_CORE_GRAPH_BUILDER_H_
 #define GKM_CORE_GRAPH_BUILDER_H_
@@ -46,10 +51,12 @@ struct GraphBuildParams {
   /// the hard cap.
   double early_stop_delta = 0.0;
   std::uint64_t seed = 42;
-  /// Threads that build the rounds' 2M trees ahead, the calling thread
-  /// included: 0 means all hardware threads, 1 builds every tree inline,
-  /// in round order. An execution knob only: the graph is bit-identical
-  /// at any value.
+  /// Threads of the whole build: the pool that builds the rounds' 2M
+  /// trees ahead gets one worker per thread beyond the caller's, and the
+  /// pool that runs each round's joins and graph flatten gets one per
+  /// thread. 0 means all hardware threads; 1 runs every phase inline, in
+  /// round order. An execution knob only: the graph is bit-identical at
+  /// any value.
   std::size_t threads = 0;
 };
 
@@ -64,8 +71,8 @@ struct GraphBuildStats {
 /// Fig. 2 bench to track recall against a sampled ground truth).
 using RoundObserver = std::function<void(std::size_t round, const KnnGraph&)>;
 
-/// Builds an approximate KNN graph over `data` (Alg. 3), on a pool of
-/// `params.threads` for the trees.
+/// Builds an approximate KNN graph over `data` (Alg. 3), on pools sized by
+/// `params.threads`.
 KnnGraph BuildKnnGraph(const Matrix& data, const GraphBuildParams& params,
                        GraphBuildStats* stats = nullptr,
                        const RoundObserver& observer = {});
@@ -101,10 +108,11 @@ class PendingStart {
   std::shared_ptr<Build> build_;  // null until queued on a pool
 };
 
-/// BuildKnnGraph on a caller's pool (nullptr: every tree inline, in round
-/// order). `then`, when given, is queued on the same pool right behind the
-/// τ round trees: GkMeansCluster overlaps its final clustering's tree with
-/// the last rounds this way.
+/// BuildKnnGraph on a caller's tree pool (nullptr: every tree inline, in
+/// round order); the pool for joins and flattens is still the call's own.
+/// `then`, when given, is queued on the tree pool right behind the τ round
+/// trees: GkMeansCluster overlaps its final clustering's tree with the
+/// last rounds this way.
 KnnGraph BuildKnnGraph(const Matrix& data, const GraphBuildParams& params,
                        GraphBuildStats* stats, const RoundObserver& observer,
                        ThreadPool* pool, PendingStart* then);

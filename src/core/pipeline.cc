@@ -24,8 +24,10 @@ PipelineResult GkMeansCluster(const Matrix& data,
                             &final_start);
   out.graph_seconds = timer.Seconds();
 
-  out.clustering =
-      GkMeansWithGraph(data, out.graph, clustering, final_start.Take());
+  // Every tree is built once the final start is taken, so the idle tree
+  // pool flattens the graph for the final clustering.
+  out.clustering = GkMeansWithGraph(data, out.graph, clustering,
+                                    final_start.Take(), pool.get());
   // Fold the graph cost into the reported init/total so pipeline timings
   // match the paper's accounting (Tab. 2 counts graph build as Init.).
   out.clustering.init_seconds += out.graph_seconds;

@@ -8,6 +8,7 @@
 #include "common/binary_io.h"
 #include "common/distance.h"
 #include "common/macros.h"
+#include "common/thread_pool.h"
 
 namespace gkm {
 
@@ -37,15 +38,17 @@ void KnnGraph::SortedNeighborsInto(std::size_t i,
 }
 
 std::vector<std::uint32_t> KnnGraph::FlattenNeighborIds(
-    std::size_t kappa) const {
+    std::size_t kappa, ThreadPool* pool) const {
   const std::size_t n = num_nodes();
   std::vector<std::uint32_t> flat(n * kappa,
                                   std::numeric_limits<std::uint32_t>::max());
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::vector<Neighbor> sorted = SortedNeighbors(i);
-    const std::size_t take = std::min(kappa, sorted.size());
-    for (std::size_t j = 0; j < take; ++j) flat[i * kappa + j] = sorted[j].id;
-  }
+  std::vector<std::vector<Neighbor>> sorted(NumSlots(pool));
+  ParallelForSlots(pool, 0, n, [&](std::size_t slot, std::size_t i) {
+    std::vector<Neighbor>& list = sorted[slot];
+    SortedNeighborsInto(i, list);
+    const std::size_t take = std::min(kappa, list.size());
+    for (std::size_t j = 0; j < take; ++j) flat[i * kappa + j] = list[j].id;
+  });
   return flat;
 }
 
@@ -79,16 +82,35 @@ void KnnGraph::ClearList(std::size_t i) {
 }
 
 void KnnGraph::InitRandom(const Matrix& data, Rng& rng) {
+  ScoreRandomCandidates(data, DrawRandomCandidates(rng));
+}
+
+std::vector<std::uint32_t> KnnGraph::DrawRandomCandidates(Rng& rng) const {
   const std::size_t n = num_nodes();
-  GKM_CHECK(data.rows() == n);
   GKM_CHECK_MSG(n > k_, "need more nodes than neighbors for a random init");
+  // k_+1 candidates, so that dropping a potential self-reference still
+  // leaves k_ distinct neighbors.
+  const std::size_t width = k_ + 1;
+  std::vector<std::uint32_t> candidates(n * width);
   for (std::size_t i = 0; i < n; ++i) {
-    // Draw k_+1 candidates so that dropping a potential self-reference still
-    // leaves k_ distinct neighbors.
-    std::vector<std::uint32_t> cand = rng.SampleDistinct(n, k_ + 1);
+    const std::vector<std::uint32_t> row = rng.SampleDistinct(n, width);
+    std::copy(row.begin(), row.end(), candidates.begin() + i * width);
+  }
+  return candidates;
+}
+
+void KnnGraph::ScoreRandomCandidates(
+    const Matrix& data, const std::vector<std::uint32_t>& candidates) {
+  const std::size_t n = num_nodes();
+  const std::size_t width = k_ + 1;
+  GKM_CHECK(data.rows() == n);
+  GKM_CHECK_MSG(candidates.size() == n * width,
+                "one row of k+1 candidates per node required");
+  for (std::size_t i = 0; i < n; ++i) {
     std::size_t added = 0;
-    for (std::uint32_t c : cand) {
-      if (c == i || added == k_) continue;
+    for (std::size_t j = 0; j < width && added < k_; ++j) {
+      const std::uint32_t c = candidates[i * width + j];
+      if (c == i) continue;
       Update(i, c, L2Sqr(data.Row(i), data.Row(c), data.cols()));
       ++added;
     }

@@ -20,6 +20,7 @@ namespace gkm {
 namespace io {
 class Reader;
 }  // namespace io
+class ThreadPool;
 
 /// Approximate k-nearest-neighbor graph over `n` nodes with out-degree κ.
 class KnnGraph {
@@ -50,8 +51,11 @@ class KnnGraph {
   /// Flattened, distance-sorted neighbor ids truncated to `kappa` per node:
   /// one cache-friendly row of length `kappa` per node, short lists padded
   /// with UINT32_MAX. The export GK-means iterates over and serializers
-  /// walk — callers never touch the heap internals.
-  std::vector<std::uint32_t> FlattenNeighborIds(std::size_t kappa) const;
+  /// walk — callers never touch the heap internals. Each node sorts into
+  /// its own row, so `pool`, when given, splits the nodes over its workers;
+  /// the array is the same at any pool size.
+  std::vector<std::uint32_t> FlattenNeighborIds(
+      std::size_t kappa, ThreadPool* pool = nullptr) const;
 
   /// Appends a node with an empty neighbor list; returns its id. The
   /// incremental-build entry point of the streaming subsystem.
@@ -75,8 +79,20 @@ class KnnGraph {
   void ClearList(std::size_t i);
 
   /// Fills every list with `k` distinct random neighbors and their true
-  /// distances w.r.t. `data` (the random initialization of Alg. 3 line 4).
+  /// distances w.r.t. `data` (the random initialization of Alg. 3 line 4):
+  /// ScoreRandomCandidates(data, DrawRandomCandidates(rng)).
   void InitRandom(const Matrix& data, Rng& rng);
+
+  /// The Rng half of InitRandom: `k+1` distinct candidates per node, one
+  /// row of the returned n×(k+1) array each, drawn in node order. It reads
+  /// no data, so Alg. 3 queues work that needs the Rng's next draws before
+  /// the distances are computed.
+  std::vector<std::uint32_t> DrawRandomCandidates(Rng& rng) const;
+
+  /// The data half of InitRandom: pushes each node's first `k` candidates
+  /// other than itself, with their distances w.r.t. `data`, in row order.
+  void ScoreRandomCandidates(const Matrix& data,
+                             const std::vector<std::uint32_t>& candidates);
 
   /// Replaces node i's list. Intended for builders that stage updates.
   void SetList(std::size_t i, const std::vector<Neighbor>& neighbors);

@@ -181,13 +181,51 @@ TEST(GraphBuilderTest, EarlyStopDropsUntakenStarts) {
   p.xi = 10;
   p.tau = 12;
   p.early_stop_delta = 10.0;  // no round changes 10 n κ entries
-  for (const std::size_t threads : {1, 2, 4}) {
+  for (const std::size_t threads : {1, 2, 3, 4}) {
     p.threads = threads;
     auto data = std::make_unique<SyntheticData>(SmallData(400, 119));
     GraphBuildStats stats;
     BuildKnnGraph(data->vectors, p, &stats);
     data.reset();
     EXPECT_EQ(stats.round_updates.size(), 1u);
+  }
+}
+
+// Every phase that runs on a pool writes disjoint lists, so the rounds
+// see the same graph at any thread count: equal per-round stats and the
+// observer called in round order on equal graphs. k0 = 50 clusters and
+// 700 nodes split unevenly over 3 and 4 slots.
+TEST(GraphBuilderTest, RoundsAreEqualAtEveryThreadCount) {
+  const SyntheticData data = SmallData(700, 120);
+  GraphBuildParams p;
+  p.kappa = 8;
+  p.xi = 14;
+  p.tau = 5;
+  p.seed = 9;
+  struct Run {
+    GraphBuildStats stats;
+    std::vector<std::size_t> rounds;
+    std::vector<std::vector<std::uint32_t>> flats;  // per observed round
+  };
+  const auto build = [&](std::size_t threads) {
+    p.threads = threads;
+    Run run;
+    BuildKnnGraph(data.vectors, p, &run.stats,
+                  [&run](std::size_t round, const KnnGraph& g) {
+                    run.rounds.push_back(round);
+                    run.flats.push_back(g.FlattenNeighborIds(g.k()));
+                  });
+    return run;
+  };
+  const Run want = build(1);
+  ASSERT_EQ(want.rounds, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  for (const std::size_t threads : {2, 3, 4}) {
+    SCOPED_TRACE(threads);
+    const Run got = build(threads);
+    EXPECT_EQ(got.rounds, want.rounds);
+    EXPECT_EQ(got.flats, want.flats);
+    EXPECT_EQ(got.stats.round_updates, want.stats.round_updates);
+    EXPECT_EQ(got.stats.round_distortion, want.stats.round_distortion);
   }
 }
 

@@ -5,11 +5,14 @@
 #include "graph/knn_graph.h"
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "common/distance.h"
+#include "common/thread_pool.h"
 #include "dataset/synthetic.h"
 
 namespace gkm {
@@ -76,6 +79,58 @@ TEST(KnnGraphTest, InitRandomFillsAllListsWithTrueDistances) {
           nb.dist, L2Sqr(data.vectors.Row(i), data.vectors.Row(nb.id), 8));
     }
     EXPECT_EQ(ids.size(), 5u);  // all distinct
+  }
+}
+
+// Pins InitRandom on a fixed input: a hash of every node's sorted list
+// (ids and distance bits) and the generator state it leaves behind, which
+// Alg. 3 draws its round seeds from next. Captured from the one-pass
+// draw-and-score InitRandom; run with GKM_PRINT_GOLDEN=1 to print the
+// values of the current build.
+TEST(KnnGraphTest, InitRandomListsArePinned) {
+  const SyntheticData data =
+      MakeGaussianMixture({.n = 700, .dim = 10, .modes = 6, .seed = 9});
+  KnnGraph g(700, 12);
+  Rng rng(41);
+  g.InitRandom(data.vectors, rng);
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](std::uint32_t w) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (w >> (8 * b)) & 0xffu;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (std::size_t i = 0; i < g.num_nodes(); ++i) {
+    for (const Neighbor& nb : g.SortedNeighbors(i)) {
+      std::uint32_t bits = 0;
+      std::memcpy(&bits, &nb.dist, sizeof(bits));
+      mix(nb.id);
+      mix(bits);
+    }
+  }
+  const std::uint64_t next = rng.Next();
+  if (std::getenv("GKM_PRINT_GOLDEN") != nullptr) {
+    std::printf("init_random lists = 0x%016llxULL next = 0x%016llxULL\n",
+                static_cast<unsigned long long>(h),
+                static_cast<unsigned long long>(next));
+    return;
+  }
+  EXPECT_EQ(h, 0x51e06472e2b4979dULL);
+  EXPECT_EQ(next, 0x7453acfd6257238eULL);
+}
+
+// Each node sorts into its own row, so the flat array is the same at any
+// pool size, including uneven splits of the nodes.
+TEST(KnnGraphTest, FlattenOnAPoolEqualsSerial) {
+  const SyntheticData data = MakeGaussianMixture({.n = 301, .dim = 6, .modes = 5});
+  KnnGraph g(301, 9);
+  Rng rng(5);
+  g.InitRandom(data.vectors, rng);
+  g.ClearList(17);  // one short row, padded
+  const std::vector<std::uint32_t> want = g.FlattenNeighborIds(7);
+  for (const std::size_t threads : {1, 2, 3, 4}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(g.FlattenNeighborIds(7, &pool), want) << threads;
   }
 }
 

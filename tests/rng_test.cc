@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -124,6 +126,65 @@ TEST(RngTest, SampleDistinctCoversUniformly) {
   }
   for (const int h : hits) {
     EXPECT_NEAR(h, trials * 3 / 20, trials / 25);
+  }
+}
+
+// FNV-1a 64-bit over 32-bit words.
+std::uint64_t HashWords(const std::vector<std::uint32_t>& words) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const std::uint32_t w : words) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (w >> (8 * b)) & 0xffu;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+// The exact sequences SampleDistinct draws, and the generator state it
+// leaves behind, on both sides of the dense/sparse split and of the
+// small-count boundary inside the sparse branch. Captured from the
+// hash-set-only sparse branch; run with GKM_PRINT_GOLDEN=1 to print the
+// values of the current build.
+TEST(RngTest, SampleDistinctSequencesArePinned) {
+  struct Pin {
+    std::size_t n;
+    std::size_t count;
+    std::uint64_t sample_hash;
+    std::uint64_t next_after;
+  };
+  const Pin pins[] = {
+      {100, 1, 0x747f030d97d0b560ULL, 0x44f13b622e72b80fULL},
+      {100, 41, 0x48089d918d3f8f78ULL, 0x8917c95faaf77dc0ULL},
+      {100, 64, 0x285b0647dab3f872ULL, 0x091a84aa6948dbd7ULL},
+      {100, 65, 0x4c87ce9290d5d86aULL, 0x08c97eaf69bd10e2ULL},
+      {50000, 1, 0x486af1a39b6936afULL, 0x4e8c97392f7ee324ULL},
+      {50000, 41, 0xefda17192da4cc7aULL, 0xf8e01cf856100370ULL},
+      {50000, 64, 0x926ff721cf30cdcdULL, 0x37469b06eff76508ULL},
+      {50000, 65, 0x71750f059f6e0da6ULL, 0x21587125e4a0e58eULL},
+      {50000, 1000, 0x56cb60dd526629c4ULL, 0x728a2e45c4c3716eULL},
+  };
+  const bool print = std::getenv("GKM_PRINT_GOLDEN") != nullptr;
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(::testing::Message() << "n " << pin.n << " count "
+                                      << pin.count);
+    Rng rng(0x5eed0000ULL + pin.n + pin.count);
+    std::vector<std::uint32_t> all;
+    for (int rep = 0; rep < 8; ++rep) {
+      const std::vector<std::uint32_t> s = rng.SampleDistinct(pin.n, pin.count);
+      ASSERT_EQ(s.size(), pin.count);
+      all.insert(all.end(), s.begin(), s.end());
+    }
+    const std::uint64_t hash = HashWords(all);
+    const std::uint64_t next = rng.Next();
+    if (print) {
+      std::printf("      {%zu, %zu, 0x%016llxULL, 0x%016llxULL},\n", pin.n,
+                  pin.count, static_cast<unsigned long long>(hash),
+                  static_cast<unsigned long long>(next));
+      continue;
+    }
+    EXPECT_EQ(hash, pin.sample_hash);
+    EXPECT_EQ(next, pin.next_after);
   }
 }
 
