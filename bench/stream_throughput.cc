@@ -9,7 +9,7 @@
 // Shape targets: streamed SSE within 10% of batch; checkpoint restore
 // exact; parallel results bit-identical to serial; graph ingest >= 2x and
 // the full pipeline >= 1x the 1-thread rate at 4 threads; SQ8 ingest
-// within 0.9x of fp32 with byte-exact v5 checkpoints. Timing ratios gate
+// within 0.9x of fp32 with byte-exact SQ8 checkpoints. Timing ratios gate
 // only on >= 4 cores at full scale (see the per-gate comments).
 
 #include <algorithm>

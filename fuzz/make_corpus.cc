@@ -7,12 +7,13 @@
 // <out>/gkmd_replay/, and GKMP wire-frame seeds under <out>/serve_frame/.
 // The checkpoint seeds all derive from the deterministic model in
 // fuzz/fuzz_model.h so the journal seeds' base-hash binding matches the
-// base fuzz_gkmd_replay.cc rebuilds at startup. Current-version (v4 for
-// fp32 arenas, v5 for SQ8) checkpoints come from the real writer; v2/v3
-// layouts are handcrafted here because the writer no longer emits them —
-// each file is loaded back through the Try* entry points before the
-// generator exits, so a drifted legacy layout fails generation instead of
-// checking in a dead seed.
+// base fuzz_gkmd_replay.cc rebuilds at startup. Every GKMC seed written
+// here comes from the real writer (v6) and is loaded back before the
+// generator exits, so a drifted format fails generation instead of
+// checking in a dead seed. The v2-v5 seeds in the corpus are frozen
+// read-only fixtures: no writer produces those layouts any more, so this
+// generator never touches them (tests/checkpoint_fixture_test.cc loads
+// each one).
 
 #include <sys/stat.h>
 
@@ -23,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "common/binary_io.h"
 #include "fuzz_model.h"
 #include "serve/protocol.h"
 #include "stream/checkpoint.h"
@@ -54,94 +54,6 @@ void CopyFile(const std::string& from, const std::string& to) {
   }
   std::fclose(in);
   std::fclose(out);
-}
-
-// --- legacy (v2/v3) writers -------------------------------------------------
-// Mirrors the layout documented in docs/checkpoint-format.md: v3 is v4
-// without the shard section table, v2 is additionally without the
-// ttl_windows/graph.shards params fields and the removal block.
-
-void WriteLegacyParams(std::FILE* f, const gkm::StreamingGkMeansParams& p,
-                       std::uint32_t version) {
-  gkm::io::WriteRaw<std::uint64_t>(f, p.k);
-  gkm::io::WriteRaw<std::uint64_t>(f, p.kappa);
-  gkm::io::WriteRaw<std::uint64_t>(f, p.graph.kappa);
-  gkm::io::WriteRaw<std::uint64_t>(f, p.graph.beam_width);
-  gkm::io::WriteRaw<std::uint64_t>(f, p.graph.num_seeds);
-  gkm::io::WriteRaw<std::uint64_t>(f, p.graph.bootstrap);
-  gkm::io::WriteRaw<std::uint64_t>(f, p.graph.seed);
-  gkm::io::WriteRaw<std::uint64_t>(f, p.epochs_per_window);
-  gkm::io::WriteRaw<std::uint64_t>(f, p.bootstrap_min);
-  gkm::io::WriteRaw<std::uint64_t>(f, p.bootstrap_epochs);
-  gkm::io::WriteRaw<std::uint64_t>(f, p.bisect_epochs);
-  gkm::io::WriteRaw<double>(f, p.drift_threshold);
-  gkm::io::WriteRaw<std::uint64_t>(f, p.max_extra_epochs);
-  gkm::io::WriteRaw<std::uint64_t>(f, p.max_splits_per_window);
-  gkm::io::WriteRaw<double>(f, p.split_gain_factor);
-  gkm::io::WriteRaw<std::uint64_t>(f, p.route_hints);
-  gkm::io::WriteRaw<std::uint64_t>(f, p.history_limit);
-  gkm::io::WriteRaw<std::uint64_t>(f, p.seed);
-  if (version >= 3) gkm::io::WriteRaw<std::uint64_t>(f, p.ttl_windows);
-}
-
-void WriteRngSnap(std::FILE* f, const gkm::RngSnapshot& r) {
-  gkm::io::WriteArray(f, r.s, 4);
-  gkm::io::WriteRaw<std::uint8_t>(f, r.have_spare ? 1 : 0);
-  gkm::io::WriteRaw<double>(f, r.spare);
-}
-
-void WriteIds(std::FILE* f, const std::vector<std::uint32_t>& ids) {
-  gkm::io::WriteRaw<std::uint64_t>(f, ids.size());
-  gkm::io::WriteArray(f, ids.data(), ids.size());
-}
-
-void WriteLegacyCheckpoint(const std::string& path,
-                           const gkm::StreamSnapshot& snap,
-                           std::uint32_t version) {
-  if (snap.shards.size() != 1) Die("legacy formats are single-shard");
-  const gkm::OnlineShardParts& shard0 = snap.shards[0];
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) Die("cannot write " + path);
-
-  gkm::io::WriteArray(f, "GKMC", 4);
-  gkm::io::WriteRaw<std::uint32_t>(f, version);
-  WriteLegacyParams(f, snap.params, version);
-
-  gkm::io::WriteRaw<std::uint64_t>(f, snap.windows);
-  gkm::io::WriteRaw<std::uint8_t>(f, snap.bootstrapped ? 1 : 0);
-  WriteRngSnap(f, snap.rng);
-  WriteRngSnap(f, shard0.rng);
-  gkm::io::WriteRaw<std::uint64_t>(f, shard0.seeds.live_seeds);
-  gkm::io::WriteRaw<double>(f, shard0.seeds.fail_ewma);
-  gkm::io::WriteRaw<std::uint64_t>(f, shard0.seeds.audit_tick);
-
-  gkm::io::WriteMatrix(f, shard0.points);
-  shard0.graph.SaveTo(f);
-  gkm::io::WriteRaw<std::uint64_t>(f, snap.labels.size());
-  gkm::io::WriteArray(f, snap.labels.data(), snap.labels.size());
-  gkm::io::WriteArray(f, snap.cluster_reps.data(), snap.cluster_reps.size());
-
-  gkm::io::WriteRaw<std::uint64_t>(f, snap.n);
-  gkm::io::WriteArray(f, snap.counts.data(), snap.counts.size());
-  gkm::io::WriteArray(f, snap.composites.data(), snap.composites.size());
-  gkm::io::WriteArray(f, snap.composite_norms.data(),
-                      snap.composite_norms.size());
-  gkm::io::WriteArray(f, snap.point_norms.data(), snap.point_norms.size());
-  gkm::io::WriteRaw<double>(f, snap.sum_point_norms);
-
-  gkm::io::WriteMatrix(f, snap.prev_centroids);
-
-  if (version >= 3) {
-    WriteIds(f, shard0.removal.pending_dead);
-    WriteIds(f, shard0.removal.free_slots);
-    gkm::io::WriteRaw<std::uint32_t>(f, shard0.removal.last_inserted);
-    gkm::io::WriteRaw<std::uint64_t>(f, snap.birth_windows.size());
-    gkm::io::WriteArray(f, snap.birth_windows.data(),
-                        snap.birth_windows.size());
-  }
-
-  gkm::io::WriteArray(f, "CKPT", 4);
-  std::fclose(f);
 }
 
 void CheckLoads(const std::string& path) {
@@ -198,26 +110,26 @@ int main(int argc, char** argv) {
 
   const std::vector<gkm::Matrix> windows = gkmfuzz::FuzzWindows();
 
-  // v4 current-format seeds straight from the writer: the canonical
-  // single-shard base (identical to the replay harness's), a 3-shard
-  // arena, and a pre-bootstrap cursor.
+  // Seeds straight from the writer: the canonical single-shard base
+  // (identical to the replay harness's), a 3-shard arena, and a
+  // pre-bootstrap cursor.
   gkm::StreamingGkMeans base = gkmfuzz::MakeFuzzBase(1);
-  gkm::SaveStreamCheckpoint(gkmc + "/v4_s1.gkmc", base);
-  CheckLoads(gkmc + "/v4_s1.gkmc");
+  gkm::SaveStreamCheckpoint(gkmc + "/v6_s1.gkmc", base);
+  CheckLoads(gkmc + "/v6_s1.gkmc");
 
-  gkm::SaveStreamCheckpoint(gkmc + "/v4_s3.gkmc", gkmfuzz::MakeFuzzBase(3));
-  CheckLoads(gkmc + "/v4_s3.gkmc");
+  gkm::SaveStreamCheckpoint(gkmc + "/v6_s3.gkmc", gkmfuzz::MakeFuzzBase(3));
+  CheckLoads(gkmc + "/v6_s3.gkmc");
 
   gkm::StreamingGkMeans young(gkmfuzz::kDim, gkmfuzz::FuzzParams(1));
   young.ObserveWindow(windows[0]);  // 16 points < bootstrap_min
-  gkm::SaveStreamCheckpoint(gkmc + "/v4_prebootstrap.gkmc", young);
-  CheckLoads(gkmc + "/v4_prebootstrap.gkmc");
+  gkm::SaveStreamCheckpoint(gkmc + "/v6_prebootstrap.gkmc", young);
+  CheckLoads(gkmc + "/v6_prebootstrap.gkmc");
 
-  // v5 SQ8 seeds (the writer emits v5 only for quantized arenas): a
-  // trained post-removal model — the 16-row graph bootstrap trains the
-  // quantizer on the first window — plus an untrained cursor whose arena
-  // is still staging fp32 rows, so the loader's trained/untrained branch
-  // and the codes/norms/quantizer sections all sit in the corpus.
+  // SQ8 seeds: a trained post-removal model — the 16-row graph bootstrap
+  // trains the quantizer on the first window — plus an untrained cursor
+  // whose arena is still staging fp32 rows, so the loader's
+  // trained/untrained branch and the codes/norms/quantizer sections all
+  // sit in the corpus.
   gkm::StreamingGkMeansParams qp = gkmfuzz::FuzzParams(1);
   qp.graph.storage = gkm::StorageMode::kSq8;
   gkm::StreamingGkMeans sq8(gkmfuzz::kDim, qp);
@@ -225,25 +137,36 @@ int main(int argc, char** argv) {
     sq8.ObserveWindow(windows[w]);
   }
   sq8.RemovePoint(3);
-  gkm::SaveStreamCheckpoint(gkmc + "/v5_sq8.gkmc", sq8);
-  CheckLoads(gkmc + "/v5_sq8.gkmc");
+  gkm::SaveStreamCheckpoint(gkmc + "/v6_sq8.gkmc", sq8);
+  CheckLoads(gkmc + "/v6_sq8.gkmc");
 
   gkm::StreamingGkMeans sq8_young(gkmfuzz::kDim, qp);
   sq8_young.ObserveWindow(gkm::SliceRows(windows[0], 0, 8));  // < bootstrap
-  gkm::SaveStreamCheckpoint(gkmc + "/v5_sq8_untrained.gkmc", sq8_young);
-  CheckLoads(gkmc + "/v5_sq8_untrained.gkmc");
+  gkm::SaveStreamCheckpoint(gkmc + "/v6_sq8_untrained.gkmc", sq8_young);
+  CheckLoads(gkmc + "/v6_sq8_untrained.gkmc");
 
-  // Legacy seeds. v2 predates deletion, so it snapshots a model with no
-  // removals (tombstones without a removal block would fail liveness
-  // validation — correctly); v3 carries the tombstoned state.
-  gkm::StreamingGkMeans clean(gkmfuzz::kDim, gkmfuzz::FuzzParams(1));
-  for (std::size_t w = 0; w < gkmfuzz::kBaseWindows; ++w) {
-    clean.ObserveWindow(windows[w]);
+  // Routed seed: four shards under routed placement, so the cluster-home
+  // block and the per-mode seed tables of shard 0 (cursor block) and of
+  // extra shards (their sections) carry entries, and each of the loader's
+  // reads of them sees data.
+  gkm::StreamingGkMeansParams rp = gkmfuzz::FuzzParams(4);
+  rp.routed_placement = true;
+  gkm::StreamingGkMeans routed(gkmfuzz::kDim, rp);
+  for (const gkm::Matrix& w : windows) routed.ObserveWindow(w);
+  std::uint32_t victim = 3;  // global ids interleave shards: skip holes
+  while (!routed.graph().IsAlive(victim)) ++victim;
+  routed.RemovePoint(victim);
+  const gkm::StreamSnapshot rsnap = routed.Snapshot();
+  if (rsnap.cluster_home.size() != rp.k) Die("routed seed has no homes");
+  bool extra_modes = false;
+  for (std::size_t s = 1; s < rsnap.shards.size(); ++s) {
+    extra_modes = extra_modes || !rsnap.shards[s].mode_seeds.empty();
   }
-  WriteLegacyCheckpoint(gkmc + "/v2.gkmc", clean.Snapshot(), 2);
-  CheckLoads(gkmc + "/v2.gkmc");
-  WriteLegacyCheckpoint(gkmc + "/v3.gkmc", base.Snapshot(), 3);
-  CheckLoads(gkmc + "/v3.gkmc");
+  if (rsnap.shards[0].mode_seeds.empty() || !extra_modes) {
+    Die("routed seed has empty per-mode seed tables");
+  }
+  gkm::SaveStreamCheckpoint(gkmc + "/v6_routed_s4.gkmc", routed);
+  CheckLoads(gkmc + "/v6_routed_s4.gkmc");
 
   // Journal seeds, bound to the same base the replay harness regenerates.
   // Scratch base/journal live in the output dir and are cleaned up after.

@@ -2,7 +2,8 @@
 // The candidate-cluster harvesting step shared by batch GK-means (Alg. 2)
 // and the streaming subsystem's mini-batch epochs: collect the distinct
 // cluster ids of a sample's graph neighbors. Deduplication uses an
-// epoch-stamped array — O(kappa) with no clearing.
+// epoch-stamped array — O(kappa) with no clearing. The Delta-I move step
+// that scores the harvest lives here too, so both pipelines run one copy.
 
 #ifndef GKM_CORE_CANDIDATE_HARVEST_H_
 #define GKM_CORE_CANDIDATE_HARVEST_H_
@@ -10,6 +11,8 @@
 #include <cstdint>
 #include <limits>
 #include <vector>
+
+#include "kmeans/cluster_state.h"
 
 namespace gkm {
 
@@ -33,6 +36,46 @@ inline void HarvestCandidates(const std::uint32_t* nbrs, std::size_t kappa,
     stamp[c] = cur_stamp;
     cand.push_back(c);
   }
+}
+
+/// A candidate cluster and its arrival gain.
+struct Arrival {
+  std::uint32_t cluster;
+  double gain;
+};
+
+/// The candidate with the largest arrival gain for `x` (squared norm `xn`),
+/// scored with one batched GainArriveBatch into `gains`. Candidates are
+/// scanned in harvest order and only a strictly larger gain replaces the
+/// best, so ties keep the earliest. The cluster is `none` when `cand` is
+/// empty or no gain compares greater than the lowest double.
+inline Arrival BestArrival(const ClusterState& state, const float* x, float xn,
+                           const std::vector<std::uint32_t>& cand,
+                           std::uint32_t none, std::vector<double>& gains) {
+  gains.resize(cand.size());
+  state.GainArriveBatch(x, xn, cand.data(), cand.size(), gains.data());
+  Arrival best{none, -std::numeric_limits<double>::max()};
+  for (std::size_t ci = 0; ci < cand.size(); ++ci) {
+    if (gains[ci] > best.gain) best = {cand[ci], gains[ci]};
+  }
+  return best;
+}
+
+/// One Delta-I move step (Alg. 2): point `x` in cluster `u` moves to its
+/// best harvested candidate when the total gain (arrival + leave) is
+/// positive. Returns the cluster `x` ends in: the destination after a
+/// move, `u` otherwise.
+inline std::uint32_t DeltaIStep(ClusterState& state, const float* x, float xn,
+                                std::uint32_t u,
+                                const std::vector<std::uint32_t>& cand,
+                                std::vector<double>& gains) {
+  const Arrival best = BestArrival(state, x, xn, cand, u, gains);
+  if (best.cluster == u) return u;
+  if (best.gain + state.GainLeave(x, xn, u) > 0.0) {
+    state.Move(x, u, best.cluster);
+    return best.cluster;
+  }
+  return u;
 }
 
 }  // namespace gkm

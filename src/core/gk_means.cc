@@ -87,23 +87,10 @@ ClusteringResult GkMeansWithGraph(const Matrix& data, const KnnGraph& graph,
         HarvestCandidates(flat.data() + static_cast<std::size_t>(i) * kappa,
                           kappa, labels, u, stamp, cur_stamp, cand);
         if (cand.empty()) continue;
-        const float* x = data.Row(i);
-        const float xn = norms[i];
-        gains.resize(cand.size());
-        state.GainArriveBatch(x, xn, cand.data(), cand.size(), gains.data());
-        double best_gain = -std::numeric_limits<double>::max();
-        std::uint32_t best_v = u;
-        for (std::size_t ci = 0; ci < cand.size(); ++ci) {
-          const double g = gains[ci];
-          if (g > best_gain) {
-            best_gain = g;
-            best_v = cand[ci];
-          }
-        }
-        if (best_v == u) continue;
-        if (best_gain + state.GainLeave(x, xn, u) > 0.0) {
-          state.Move(x, u, best_v);
-          labels[i] = best_v;
+        const std::uint32_t v =
+            DeltaIStep(state, data.Row(i), norms[i], u, cand, gains);
+        if (v != u) {
+          labels[i] = v;
           ++moves;
         }
       }

@@ -17,34 +17,28 @@ namespace {
 constexpr char kMagic[4] = {'G', 'K', 'M', 'C'};
 constexpr char kTrailer[4] = {'C', 'K', 'P', 'T'};
 constexpr char kDeltaMagic[4] = {'G', 'K', 'M', 'D'};
+// Writers emit kVersion only; older versions are read-only (see
+// TryLoadStreamCheckpoint, the one place that knows their defaults).
 // v2: adds the adaptive-seed state to the cursor block.
 // v3: adds ttl_windows to the params block and the removal block (graph
 //     tombstones, free slots, last-inserted slot, per-slot birth windows)
-//     before the trailer. v2 files still load; see ReadParams.
+//     before the trailer.
 // v4: adds graph.shards to the params block and, between the removal block
 //     and the trailer, a shard section table (u64 shard count + one u64
 //     byte size per extra shard) followed by one section per shard beyond
-//     shard 0 (whose state occupies the v3-position sections, so an S=1
-//     file is the v3 layout plus 16 appended bytes). v2/v3 files load as
-//     S=1. See docs/checkpoint-format.md.
+//     shard 0 (whose state occupies the v3-position sections). v2/v3 files
+//     load as S=1.
 // v5: adds graph.storage to the params block and replaces every per-shard
 //     points matrix with an arena block (u8 trained flag; a bare matrix
-//     when 0, packed SQ8 codes + row norms + quantizer when 1). Emitted
-//     ONLY for kSq8 models: fp32 models keep writing version-4 bytes, so
-//     the pinned v4 golden stays byte-identical. v2-v4 files load with
-//     storage = kFp32. See docs/checkpoint-format.md.
-// v6: routed placement. Appends the routing params tail (routed_placement,
-//     spill_margin, rebalance_threshold, migrate_budget, a reserved u64) to
-//     the params block, shard 0's per-mode seed table to the cursor block,
-//     a cluster-home block after the representatives, and a per-mode seed
-//     table to every extra shard section. Emitted ONLY when
-//     routed_placement is set — non-routed models keep writing v4/v5
-//     bytes, so both pinned goldens stay byte-identical. v6 always uses
-//     the v5 arena framing (u8 trained flag) regardless of storage.
-//     v2-v5 files load with routing off. See docs/checkpoint-format.md.
+//     when 0, packed SQ8 codes + row norms + quantizer when 1). v2-v4 files
+//     load with storage = kFp32.
+// v6: appends the routing params tail (routed_placement, spill_margin,
+//     rebalance_threshold, migrate_budget, a reserved u64) to the params
+//     block, shard 0's per-mode seed table to the cursor block, a
+//     cluster-home block after the representatives, and a per-mode seed
+//     table to every extra shard section. v2-v5 files load with routing
+//     off. See docs/checkpoint-format.md.
 constexpr std::uint32_t kVersion = 6;
-constexpr std::uint32_t kSq8Version = 5;
-constexpr std::uint32_t kFp32Version = 4;
 constexpr std::uint32_t kOldestReadable = 2;
 constexpr std::uint32_t kDeltaVersion = 1;
 
@@ -63,8 +57,7 @@ std::uint64_t FnvMix(std::uint64_t h, const void* bytes, std::size_t len) {
   return h;
 }
 
-void WriteParams(std::FILE* f, const StreamingGkMeansParams& p,
-                 std::uint32_t version) {
+void WriteParams(std::FILE* f, const StreamingGkMeansParams& p) {
   io::WriteRaw<std::uint64_t>(f, p.k);
   io::WriteRaw<std::uint64_t>(f, p.kappa);
   io::WriteRaw<std::uint64_t>(f, p.graph.kappa);
@@ -83,18 +76,14 @@ void WriteParams(std::FILE* f, const StreamingGkMeansParams& p,
   io::WriteRaw<std::uint64_t>(f, p.route_hints);
   io::WriteRaw<std::uint64_t>(f, p.history_limit);
   io::WriteRaw<std::uint64_t>(f, p.seed);
-  io::WriteRaw<std::uint64_t>(f, p.ttl_windows);   // v3+
-  io::WriteRaw<std::uint64_t>(f, p.graph.shards);  // v4+
-  if (version >= 5) {                              // v5+
-    io::WriteRaw<std::uint64_t>(f, static_cast<std::uint64_t>(p.graph.storage));
-  }
-  if (version >= 6) {                              // v6+: routing tail
-    io::WriteRaw<std::uint8_t>(f, p.routed_placement ? 1 : 0);
-    io::WriteRaw<double>(f, p.spill_margin);
-    io::WriteRaw<double>(f, p.rebalance_threshold);
-    io::WriteRaw<std::uint64_t>(f, p.migrate_budget);
-    io::WriteRaw<std::uint64_t>(f, 0);  // reserved field 26 (see ReadParams)
-  }
+  io::WriteRaw<std::uint64_t>(f, p.ttl_windows);
+  io::WriteRaw<std::uint64_t>(f, p.graph.shards);
+  io::WriteRaw<std::uint64_t>(f, static_cast<std::uint64_t>(p.graph.storage));
+  io::WriteRaw<std::uint8_t>(f, p.routed_placement ? 1 : 0);
+  io::WriteRaw<double>(f, p.spill_margin);
+  io::WriteRaw<double>(f, p.rebalance_threshold);
+  io::WriteRaw<std::uint64_t>(f, p.migrate_budget);
+  io::WriteRaw<std::uint64_t>(f, 0);  // reserved field 26 (see ReadParams)
   // ingest_threads is deliberately not persisted: it is an execution knob
   // with no effect on results, and a resumed process sizes its own pool.
   // graph.shards IS persisted: the shard count partitions the id space and
@@ -219,14 +208,11 @@ std::size_t ShardCols(const OnlineShardParts& shard) {
                            : shard.points.cols();
 }
 
-// Arena block: the storage-dependent point payload of one shard. v4-
-// projections are a bare matrix; v5 prefixes a u8 trained flag and carries
-// packed SQ8 codes + row norms + per-dimension quantizer when it is set.
-void WriteArena(std::FILE* f, const OnlineShardParts& shard, bool v5) {
-  if (!v5) {
-    io::WriteMatrix(f, shard.points);
-    return;
-  }
+// Arena block: the storage-dependent point payload of one shard. A u8
+// trained flag, then a bare matrix when it is clear, or packed SQ8 codes +
+// row norms + per-dimension quantizer when it is set (v2-v4 files carry
+// the bare matrix without the flag).
+void WriteArena(std::FILE* f, const OnlineShardParts& shard) {
   io::WriteRaw<std::uint8_t>(f, shard.sq8.trained ? 1 : 0);
   if (!shard.sq8.trained) {
     io::WriteMatrix(f, shard.points);
@@ -278,18 +264,17 @@ std::size_t GlobalArenaBound(const std::vector<OnlineShardParts>& shards) {
 // One extra-shard section (shards 1..S-1; shard 0 lives in the v3-position
 // sections): cursor-style RNG + adaptive seeds, then stores and removal
 // lists. Counterpart of ReadShardSection.
-void WriteShardSection(std::FILE* f, const OnlineShardParts& shard,
-                       std::uint32_t version) {
+void WriteShardSection(std::FILE* f, const OnlineShardParts& shard) {
   WriteRng(f, shard.rng);
   io::WriteRaw<std::uint64_t>(f, shard.seeds.live_seeds);
   io::WriteRaw<double>(f, shard.seeds.fail_ewma);
   io::WriteRaw<std::uint64_t>(f, shard.seeds.audit_tick);
-  WriteArena(f, shard, version >= 5);
+  WriteArena(f, shard);
   shard.graph.SaveTo(f);
   WriteIdList(f, shard.removal.pending_dead);
   WriteIdList(f, shard.removal.free_slots);
   io::WriteRaw<std::uint32_t>(f, shard.removal.last_inserted);
-  if (version >= 6) WriteModeSeeds(f, shard.mode_seeds);
+  WriteModeSeeds(f, shard.mode_seeds);
 }
 
 // Per-shard adaptive-seed sanity, applied to shard 0's cursor-block state
@@ -412,22 +397,12 @@ void SaveStreamCheckpoint(const std::string& path,
   const OnlineShardParts& shard0 = snap.shards[0];
   io::File f = io::OpenOrDie(path, "wb");
 
-  // Version is feature-dependent: only routed models need the v6 blocks
-  // and only kSq8 models need the v5 arena framing. Non-routed models keep
-  // emitting v4/v5 bytes, so every pre-existing checkpoint stays
-  // byte-identical (the golden tests pin this).
-  const bool sq8 = snap.params.graph.storage == StorageMode::kSq8;
-  const std::uint32_t version = snap.params.routed_placement
-                                    ? kVersion
-                                    : (sq8 ? kSq8Version : kFp32Version);
-  const bool v5 = version >= 5;  // arena framing carries the trained flag
   io::WriteArray(f.get(), kMagic, 4);
-  io::WriteRaw<std::uint32_t>(f.get(), version);
-  WriteParams(f.get(), snap.params, version);
+  io::WriteRaw<std::uint32_t>(f.get(), kVersion);
+  WriteParams(f.get(), snap.params);
 
   // Cursor block. The graph RNG/adaptive-seed fields at the v3 positions
-  // belong to shard 0 — for S=1 that IS the whole graph, which keeps the
-  // projected layout byte-identical to v3.
+  // belong to shard 0 — for S=1 that IS the whole graph.
   io::WriteRaw<std::uint64_t>(f.get(), snap.windows);
   io::WriteRaw<std::uint8_t>(f.get(), snap.bootstrapped ? 1 : 0);
   WriteRng(f.get(), snap.rng);
@@ -435,19 +410,17 @@ void SaveStreamCheckpoint(const std::string& path,
   io::WriteRaw<std::uint64_t>(f.get(), shard0.seeds.live_seeds);
   io::WriteRaw<double>(f.get(), shard0.seeds.fail_ewma);
   io::WriteRaw<std::uint64_t>(f.get(), shard0.seeds.audit_tick);
-  if (version >= 6) WriteModeSeeds(f.get(), shard0.mode_seeds);
+  WriteModeSeeds(f.get(), shard0.mode_seeds);
 
-  WriteArena(f.get(), shard0, v5);
+  WriteArena(f.get(), shard0);
   shard0.graph.SaveTo(f.get());
   io::WriteRaw<std::uint64_t>(f.get(), snap.labels.size());
   io::WriteArray(f.get(), snap.labels.data(), snap.labels.size());
   io::WriteArray(f.get(), snap.cluster_reps.data(), snap.cluster_reps.size());
-  if (version >= 6) {
-    // Cluster-home block: empty before bootstrap, k entries after.
-    io::WriteRaw<std::uint64_t>(f.get(), snap.cluster_home.size());
-    io::WriteArray(f.get(), snap.cluster_home.data(),
-                   snap.cluster_home.size());
-  }
+  // Cluster-home block: empty before bootstrap and for non-routed models,
+  // k entries otherwise.
+  io::WriteRaw<std::uint64_t>(f.get(), snap.cluster_home.size());
+  io::WriteArray(f.get(), snap.cluster_home.data(), snap.cluster_home.size());
 
   io::WriteRaw<std::uint64_t>(f.get(), snap.n);
   io::WriteArray(f.get(), snap.counts.data(), snap.counts.size());
@@ -459,7 +432,7 @@ void SaveStreamCheckpoint(const std::string& path,
 
   io::WriteMatrix(f.get(), snap.prev_centroids);
 
-  // Removal block (v3): shard 0's deletion bookkeeping (slot-local ids)
+  // Removal block: shard 0's deletion bookkeeping (slot-local ids)
   // plus the global TTL birth windows.
   WriteIdList(f.get(), shard0.removal.pending_dead);
   WriteIdList(f.get(), shard0.removal.free_slots);
@@ -468,7 +441,7 @@ void SaveStreamCheckpoint(const std::string& path,
   io::WriteArray(f.get(), snap.birth_windows.data(),
                  snap.birth_windows.size());
 
-  // Shard section table (v4): shard count, one byte-size entry per extra
+  // Shard section table: shard count, one byte-size entry per extra
   // shard (so readers and tools can skip sections), then the sections.
   // Sizes are back-patched after the sections are written; the content is
   // deterministic, so the patched bytes are too.
@@ -483,7 +456,7 @@ void SaveStreamCheckpoint(const std::string& path,
   section_bytes.reserve(num_shards > 0 ? num_shards - 1 : 0);
   for (std::size_t s = 1; s < num_shards; ++s) {
     const long begin = std::ftell(f.get());
-    WriteShardSection(f.get(), snap.shards[s], version);
+    WriteShardSection(f.get(), snap.shards[s]);
     const long end = std::ftell(f.get());
     GKM_CHECK(begin >= 0 && end >= begin);
     section_bytes.push_back(static_cast<std::uint64_t>(end - begin));

@@ -8,10 +8,10 @@
 //
 // Two persistence modes share the format:
 //
-//  - Full snapshots ("GKMC", version 4): one self-contained file.
+//  - Full snapshots ("GKMC", version 6): one self-contained file.
 //    docs/checkpoint-format.md documents the authoritative layout and
-//    compatibility rules; v2 (pre-deletion) and v3 (pre-sharding) files
-//    still load.
+//    compatibility rules. Every model writes v6; v2-v5 files still load
+//    (read-only).
 //  - Incremental (delta) checkpoints: a full base snapshot plus an
 //    append-only journal ("GKMD") of the stream inputs since the base —
 //    per-window ingest records, explicit removals, and optional state

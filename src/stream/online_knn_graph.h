@@ -71,11 +71,10 @@ struct OnlineGraphParams {
   /// Shard count consumed by ShardedOnlineKnnGraph (a single OnlineKnnGraph
   /// ignores it): S independent arenas ingested by S concurrent writers.
   /// 1 keeps the single-arena behavior bit-for-bit. Model state — changing
-  /// it re-partitions the stream, so it is persisted in checkpoints (v4).
+  /// it re-partitions the stream, so it is persisted in checkpoints.
   std::size_t shards = 1;
   /// Arena storage mode. Model state: it changes committed graph edges
-  /// (SQ8 walks score decoded rows), so it is persisted in checkpoints —
-  /// kSq8 saves emit GKMC v5, kFp32 keeps emitting v4 bytes.
+  /// (SQ8 walks score decoded rows), so it is persisted in checkpoints.
   StorageMode storage = StorageMode::kFp32;
 };
 

@@ -75,12 +75,11 @@ struct OnlineShardParts {
   RngSnapshot rng;
   AdaptiveSeedState seeds;
   RemovalState removal;
-  /// SQ8 arena payload (GKMC v5). Default (`trained == false`) restores an
-  /// fp32-resident shard; `points` must then hold the rows, exactly as in
-  /// v2–v4 checkpoints.
+  /// SQ8 arena payload. Default (`trained == false`) restores an
+  /// fp32-resident shard; `points` must then hold the rows.
   Sq8ArenaParts sq8;
-  /// Per-mode adaptive seed budgets (GKMC v6). Empty for earlier versions
-  /// or modeless streams.
+  /// Per-mode adaptive seed budgets. Empty for modeless streams (and for
+  /// models loaded from GKMC files older than v6).
   std::vector<AdaptiveSeedState> mode_seeds;
 };
 

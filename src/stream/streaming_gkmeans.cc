@@ -473,18 +473,8 @@ void StreamingGkMeans::AssignNew(std::uint32_t id, const Matrix& centroids) {
   ++cur_stamp_;
   HarvestCandidates(nbr_ids_.data(), kappa, labels_, kUnassigned, stamp_,
                     cur_stamp_, cand_);
-  gain_scratch_.resize(cand_.size());
-  state_.GainArriveBatch(x, xn, cand_.data(), cand_.size(),
-                         gain_scratch_.data());
-  double best_gain = -std::numeric_limits<double>::max();
-  std::uint32_t best = kUnassigned;
-  for (std::size_t ci = 0; ci < cand_.size(); ++ci) {
-    const double g = gain_scratch_[ci];
-    if (g > best_gain) {
-      best_gain = g;
-      best = cand_[ci];
-    }
-  }
+  std::uint32_t best =
+      BestArrival(state_, x, xn, cand_, kUnassigned, gain_scratch_).cluster;
   if (best == kUnassigned) {
     best = static_cast<std::uint32_t>(NearestRow(centroids, x));
   }
@@ -533,23 +523,10 @@ std::size_t StreamingGkMeans::RunEpochs(const std::vector<std::uint32_t>& ids,
       // One batched mixed-precision dot over the candidate composites
       // (bit-identical to per-candidate GainArrive — checkpoint replay
       // and the golden test depend on that).
-      gain_scratch_.resize(cand_.size());
-      state_.GainArriveBatch(x, xn, cand_.data(), cand_.size(),
-                             gain_scratch_.data());
-      double best_gain = -std::numeric_limits<double>::max();
-      std::uint32_t best_v = u;
-      for (std::size_t ci = 0; ci < cand_.size(); ++ci) {
-        const double g = gain_scratch_[ci];
-        if (g > best_gain) {
-          best_gain = g;
-          best_v = cand_[ci];
-        }
-      }
-      if (best_v == u) continue;
-      if (best_gain + state_.GainLeave(x, xn, u) > 0.0) {
-        state_.Move(x, u, best_v);
-        labels_[i] = best_v;
-        cluster_reps_[best_v] = i;
+      const std::uint32_t v = DeltaIStep(state_, x, xn, u, cand_, gain_scratch_);
+      if (v != u) {
+        labels_[i] = v;
+        cluster_reps_[v] = i;
         ++moves;
       }
     }

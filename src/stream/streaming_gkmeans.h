@@ -85,9 +85,8 @@ struct StreamingGkMeansParams {
   /// gets a deterministic home shard, new points land on their nearest
   /// cluster's home shard, and routed queries search one shard instead of
   /// merging all S. Model state — it changes where every point lives — so
-  /// it is persisted; enabling it makes checkpoints emit GKMC v6 (off
-  /// keeps the v4/v5 bytes golden-pinned). Also enables the per-mode
-  /// adaptive seed budgets (rows are tagged with their nearest cluster).
+  /// it is persisted in checkpoints. Also enables the per-mode adaptive
+  /// seed budgets (rows are tagged with their nearest cluster).
   bool routed_placement = false;
   /// Routed-query spill tolerance: also search the runner-up shard when
   /// the best foreign-shard cluster scores within (1 + spill_margin) of

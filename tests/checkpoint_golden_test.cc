@@ -1,6 +1,6 @@
 // Copyright 2026 The gkmeans Authors.
 // Pins the exact bytes of a streaming checkpoint produced by a fixed,
-// deterministic pipeline. The golden hash below was captured from the
+// deterministic pipeline. The oldest golden below was captured from the
 // scalar-only distance code that predates the batched kernel layer
 // (src/common/kernels.*), so this test is the contract that the kernel
 // refactor — at every SIMD dispatch tier, and in particular under
@@ -9,15 +9,21 @@
 // state. Any change to summation order, candidate scoring or walk policy
 // shows up here as a hash mismatch.
 //
+// Every model writes GKMC v6. Each pin has a v6 hash, and each pin first
+// captured in an older layout keeps its old hash as the target of a
+// projection (checkpoint_projection.h): the v6 bytes, with what v6
+// appended deleted, must still hit it bit for bit.
+//
 // Run with GKM_PRINT_GOLDEN=1 to print the hash of the current build
 // (used to re-capture the golden after an *intentional* semantic change).
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "checkpoint_projection.h"
 #include "dataset/synthetic.h"
 #include "stream/checkpoint.h"
 #include "stream/streaming_gkmeans.h"
@@ -35,13 +41,6 @@ std::uint64_t Fnv1a64(const std::string& bytes) {
     h *= 1099511628211ULL;
   }
   return h;
-}
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
 }
 
 // The deterministic pipeline whose checkpoint bytes are pinned: a GMM
@@ -86,7 +85,9 @@ std::string BuildGoldenCheckpoint() {
 // hash and carry no clocks, counters or any other telemetry-adjacent
 // value, so they pin exactly like the base does — and the pin holds
 // bit-for-bit in instrumented and GKM_NO_STATS builds alike.
-std::string BuildGoldenJournal() {
+// `base_bytes` (when non-null) receives the base snapshot the journal
+// header binds to.
+std::string BuildGoldenJournal(std::string* base_bytes = nullptr) {
   SyntheticSpec spec;
   spec.n = 900;
   spec.dim = 16;
@@ -125,6 +126,7 @@ std::string BuildGoldenJournal() {
   log.AppendRemoval(3);
   model.RemovePoint(3);
   log.AppendStateCheck(model);
+  if (base_bytes != nullptr) *base_bytes = ReadFileBytes(base);
   return ReadFileBytes(delta);
 }
 
@@ -272,6 +274,13 @@ std::string BuildGoldenRoutedJournal(RoutedActivity* seen) {
   return ReadFileBytes(delta);
 }
 
+// The v6 pin: the v4 golden below plus the 58 bytes v6 appends to an S=1
+// fp32 file (the storage field, the 33-byte routing tail, an empty
+// mode-seed count, the arena's trained flag and an empty cluster-home
+// count).
+constexpr std::uint64_t kGoldenHashV6 = 0x506a4ebaaae0056aULL;
+constexpr std::size_t kGoldenSizeV6 = 131997;
+
 // Captured from the GKMC v4 layout (sharded-graph PR; S=1 here). Both
 // halves of the pin matter: the size catches layout drift, the hash
 // catches numeric drift.
@@ -279,51 +288,16 @@ constexpr std::uint64_t kGoldenHash = 0x40122b34c6f22701ULL;
 constexpr std::size_t kGoldenSize = 131939;
 
 // The v3 golden, captured from the deletion/TTL + delta checkpoints PR.
-// The v3 *projection* of a v4 file (drop the appended graph.shards param
-// and the empty shard section table, rewrite the version word) must hit it
-// bit-for-bit: v4 appended fields, it did not change a single number the
-// v3 format carried — so an S=1 sharded pipeline is provably zero-drift
-// against the single-arena implementation it replaced.
+// v4 appended fields, it did not change a single number the v3 format
+// carried — so an S=1 sharded pipeline is provably zero-drift against the
+// single-arena implementation it replaced.
 constexpr std::uint64_t kGoldenHashV3 = 0xb56ab723d22ad176ULL;
 constexpr std::size_t kGoldenSizeV3 = 131923;
 
 // The original golden, captured from the pre-kernel-layer scalar
-// implementation against the v2 layout; reached by chaining the v4->v3
-// and v3->v2 projections.
+// implementation against the v2 layout.
 constexpr std::uint64_t kGoldenHashV2 = 0x8a78c3a019750edaULL;
 constexpr std::size_t kGoldenSizeV2 = 124687;
-
-// v4 layout arithmetic (see docs/checkpoint-format.md): the params block
-// is 20 u64-sized fields at offset 8 with graph.shards last, and an S=1
-// file's shard section table is a single u64 shard count right before the
-// 4-byte trailer.
-std::string ProjectToV3(const std::string& v4) {
-  const std::size_t shards_param = 8 + 19 * 8;
-  std::string out = v4.substr(0, 4);
-  const std::uint32_t v3 = 3;
-  out.append(reinterpret_cast<const char*>(&v3), 4);
-  out += v4.substr(8, shards_param - 8);
-  out += v4.substr(shards_param + 8,
-                   v4.size() - 4 - 8 - (shards_param + 8));
-  out += v4.substr(v4.size() - 4);
-  return out;
-}
-
-// v3 layout arithmetic: the params block is 19 u64-sized fields at offset
-// 8 with ttl_windows last, and the removal block before the 4-byte trailer
-// is two empty id lists, a u32 last-inserted slot, and one u64 birth
-// window per point.
-std::string ProjectToV2(const std::string& v3, std::size_t n_points) {
-  const std::size_t ttl_begin = 8 + 18 * 8;
-  const std::size_t removal = 8 + 8 + 4 + 8 + 8 * n_points;
-  std::string out = v3.substr(0, 4);
-  const std::uint32_t v2 = 2;
-  out.append(reinterpret_cast<const char*>(&v2), 4);
-  out += v3.substr(8, ttl_begin - 8);
-  out += v3.substr(ttl_begin + 8, v3.size() - 4 - removal - (ttl_begin + 8));
-  out += v3.substr(v3.size() - 4);
-  return out;
-}
 
 TEST(CheckpointGolden, StreamingPipelineBytesAreBitStable) {
   const std::string bytes = BuildGoldenCheckpoint();
@@ -333,19 +307,30 @@ TEST(CheckpointGolden, StreamingPipelineBytesAreBitStable) {
                 static_cast<unsigned long long>(hash), bytes.size());
     return;
   }
-  EXPECT_EQ(bytes.size(), kGoldenSize);
-  EXPECT_EQ(hash, kGoldenHash);
+  EXPECT_EQ(bytes[4], 6) << "every model writes GKMC v6";
+  EXPECT_EQ(bytes.size(), kGoldenSizeV6);
+  EXPECT_EQ(hash, kGoldenHashV6);
+}
+
+TEST(CheckpointGolden, V4ProjectionStillMatchesShardingGolden) {
+  const std::string projected =
+      projection::ProjectV6ToV4(BuildGoldenCheckpoint());
+  EXPECT_EQ(projected.size(), kGoldenSize);
+  EXPECT_EQ(Fnv1a64(projected), kGoldenHash);
 }
 
 TEST(CheckpointGolden, V3ProjectionStillMatchesPreShardingGolden) {
-  const std::string projected = ProjectToV3(BuildGoldenCheckpoint());
+  const std::string projected = projection::ProjectV4ToV3(
+      projection::ProjectV6ToV4(BuildGoldenCheckpoint()));
   EXPECT_EQ(projected.size(), kGoldenSizeV3);
   EXPECT_EQ(Fnv1a64(projected), kGoldenHashV3);
 }
 
 TEST(CheckpointGolden, V2ProjectionStillMatchesPreKernelGolden) {
-  const std::string projected =
-      ProjectToV2(ProjectToV3(BuildGoldenCheckpoint()), 900);
+  const std::string projected = projection::ProjectV3ToV2(
+      projection::ProjectV4ToV3(
+          projection::ProjectV6ToV4(BuildGoldenCheckpoint())),
+      900);
   EXPECT_EQ(projected.size(), kGoldenSizeV2);
   EXPECT_EQ(Fnv1a64(projected), kGoldenHashV2);
 }
@@ -357,10 +342,15 @@ TEST(CheckpointGolden, RepeatRunsAreByteIdentical) {
   EXPECT_EQ(BuildGoldenCheckpoint(), BuildGoldenCheckpoint());
 }
 
-// GKMD journal pin (captured from the v1 journal layout, telemetry PR).
-// A clock or counter value leaking into a journal record — the exact
-// failure mode the telemetry determinism contract forbids — lands here as
-// a hash mismatch, in instrumented and GKM_NO_STATS builds alike.
+// GKMD journal pins. A clock or counter value leaking into a journal
+// record — the exact failure mode the telemetry determinism contract
+// forbids — lands here as a hash mismatch, in instrumented and
+// GKM_NO_STATS builds alike. The records are the same in both pins; only
+// the header's base hash differs, since it binds the journal to the base
+// file's bytes. The old pin was captured (v1 journal layout, telemetry
+// PR) over a v4 base, so it is reached by re-binding the header to the
+// v4 projection of today's v6 base.
+constexpr std::uint64_t kGoldenJournalHashV6 = 0x7e0219717af015bfULL;
 constexpr std::uint64_t kGoldenJournalHash = 0x270aedbdbbdeeb77ULL;
 constexpr std::size_t kGoldenJournalSize = 19272;
 
@@ -373,18 +363,39 @@ TEST(CheckpointGolden, DeltaJournalBytesAreBitStable) {
     return;
   }
   EXPECT_EQ(bytes.size(), kGoldenJournalSize);
-  EXPECT_EQ(hash, kGoldenJournalHash);
+  EXPECT_EQ(hash, kGoldenJournalHashV6);
 }
 
-// TTL pins, captured from the per-id expiry path (one graph removal call
-// per expiring point). Batching the expiry must not move a byte.
+TEST(CheckpointGolden, DeltaJournalOverV4ProjectedBaseMatchesGolden) {
+  std::string base;
+  std::string journal = BuildGoldenJournal(&base);
+  // Header: magic(4) version(4) base_hash(8) base_windows(8).
+  ASSERT_GT(journal.size(), 24u);
+  const std::uint64_t v4_base = Fnv1a64(projection::ProjectV6ToV4(base));
+  std::memcpy(&journal[8], &v4_base, sizeof(v4_base));
+  EXPECT_EQ(journal.size(), kGoldenJournalSize);
+  EXPECT_EQ(Fnv1a64(journal), kGoldenJournalHash);
+}
+
+// TTL pins in v6, and the pins captured in the model's old layout (v4 for
+// one fp32 shard, v5 for four SQ8 shards) from the per-id expiry path (one
+// graph removal call per expiring point). Batching the expiry must not
+// move a byte, and v6 must only have appended fields.
+constexpr std::uint64_t kGoldenTtlHashS1V6 = 0x52257a672d70b6a4ULL;
+constexpr std::size_t kGoldenTtlSizeS1V6 = 87101;
+constexpr std::uint64_t kGoldenTtlHashS4Sq8V6 = 0xbc3157584b875bc6ULL;
+constexpr std::size_t kGoldenTtlSizeS4Sq8V6 = 71787;
 constexpr std::uint64_t kGoldenTtlHashS1 = 0xbfef9e480e4cb8b9ULL;
 constexpr std::size_t kGoldenTtlSizeS1 = 87043;
 constexpr std::uint64_t kGoldenTtlHashS4Sq8 = 0xafdf7122a525dbacULL;
 constexpr std::size_t kGoldenTtlSizeS4Sq8 = 71714;
 
+// Pins the v6 bytes of the TTL pipeline, and the hash of their projection
+// onto the layout the old pin was captured in.
 void ExpectTtlPin(std::size_t shards, StorageMode storage,
-                  std::uint64_t want_hash, std::size_t want_size) {
+                  std::uint64_t want_hash, std::size_t want_size,
+                  std::string (*project)(const std::string&),
+                  std::uint64_t want_old_hash, std::size_t want_old_size) {
   bool purged = false;
   const std::string bytes = BuildGoldenTtlCheckpoint(shards, storage, &purged);
   const std::uint64_t hash = Fnv1a64(bytes);
@@ -397,15 +408,20 @@ void ExpectTtlPin(std::size_t shards, StorageMode storage,
   EXPECT_TRUE(purged) << "the TTL pin must cover a tombstone purge";
   EXPECT_EQ(bytes.size(), want_size);
   EXPECT_EQ(hash, want_hash);
+  const std::string projected = project(bytes);
+  EXPECT_EQ(projected.size(), want_old_size);
+  EXPECT_EQ(Fnv1a64(projected), want_old_hash);
 }
 
 TEST(CheckpointGolden, TtlExpiryBytesAreBitStableSingleShardFp32) {
-  ExpectTtlPin(1, StorageMode::kFp32, kGoldenTtlHashS1, kGoldenTtlSizeS1);
+  ExpectTtlPin(1, StorageMode::kFp32, kGoldenTtlHashS1V6, kGoldenTtlSizeS1V6,
+               projection::ProjectV6ToV4, kGoldenTtlHashS1, kGoldenTtlSizeS1);
 }
 
 TEST(CheckpointGolden, TtlExpiryBytesAreBitStableFourShardsSq8) {
-  ExpectTtlPin(4, StorageMode::kSq8, kGoldenTtlHashS4Sq8,
-               kGoldenTtlSizeS4Sq8);
+  ExpectTtlPin(4, StorageMode::kSq8, kGoldenTtlHashS4Sq8V6,
+               kGoldenTtlSizeS4Sq8V6, projection::ProjectV6ToV5,
+               kGoldenTtlHashS4Sq8, kGoldenTtlSizeS4Sq8);
 }
 
 // Routed pins, captured while the serving layer still carried read

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "checkpoint_projection.h"
 #include "dataset/synthetic.h"
 #include "stream/streaming_gkmeans.h"
 
@@ -81,19 +82,6 @@ void ExpectIdenticalState(const StreamingGkMeans& a,
 
 std::string TempPath(const char* name) {
   return ::testing::TempDir() + "/" + name;
-}
-
-std::string ReadFileBytes(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr) << path;
-  std::string bytes;
-  char buf[4096];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.append(buf, got);
-  }
-  std::fclose(f);
-  return bytes;
 }
 
 TEST(CheckpointTest, SaveLoadRoundTripRestoresIdenticalState) {
@@ -419,25 +407,19 @@ TEST(CheckpointTest, ShardedDeltaChainResumesByteIdentical) {
 
 TEST(CheckpointTest, V3FileLoadsAsSingleShardAndContinues) {
   // Back-compat: a v3 file (no shards param, no section table) must load
-  // as S=1 and continue identically. v4 appended exactly two u64s to the
-  // v3 layout for S=1, so the projection below reconstructs the bytes a
-  // v3 writer would have produced.
+  // as S=1 and continue identically. The v3 projection of the v6 file
+  // (checkpoint_projection.h) reconstructs the bytes a v3 writer would
+  // have produced for this model.
   const SyntheticData data = StreamData(1000);
   StreamingGkMeans model(kDim, SmallParams());
   Feed(model, SliceRows(data.vectors, 0, 600), 200);
 
-  const std::string v4_path = TempPath("compat_v4.ckpt");
-  SaveStreamCheckpoint(v4_path, model);
-  std::string bytes = ReadFileBytes(v4_path);
-  std::remove(v4_path.c_str());
-  const std::size_t shards_param = 8 + 19 * 8;  // 20th params field
-  std::string v3 = bytes.substr(0, 4);
-  const std::uint32_t version3 = 3;
-  v3.append(reinterpret_cast<const char*>(&version3), 4);
-  v3 += bytes.substr(8, shards_param - 8);
-  v3 += bytes.substr(shards_param + 8,
-                     bytes.size() - 4 - 8 - (shards_param + 8));
-  v3 += bytes.substr(bytes.size() - 4);
+  const std::string v6_path = TempPath("compat_v6.ckpt");
+  SaveStreamCheckpoint(v6_path, model);
+  const std::string v3 = projection::ProjectV4ToV3(
+      projection::ProjectV6ToV4(ReadFileBytes(v6_path)));
+  std::remove(v6_path.c_str());
+  ASSERT_EQ(FileVersion(v3), 3u);
 
   const std::string v3_path = TempPath("compat_v3.ckpt");
   std::FILE* f = std::fopen(v3_path.c_str(), "wb");
@@ -455,18 +437,12 @@ TEST(CheckpointTest, V3FileLoadsAsSingleShardAndContinues) {
 }
 
 // ---------------------------------------------------------------------------
-// SQ8 storage mode: v5 container.
+// SQ8 storage mode: the arena block's trained branch.
 
 StreamingGkMeansParams Sq8Params() {
   StreamingGkMeansParams p = SmallParams();
   p.graph.storage = StorageMode::kSq8;
   return p;
-}
-
-std::uint32_t FileVersion(const std::string& bytes) {
-  std::uint32_t v = 0;
-  std::memcpy(&v, bytes.data() + 4, sizeof(v));
-  return v;
 }
 
 void ExpectIdenticalSq8Arena(const StreamingGkMeans& a,
@@ -483,7 +459,7 @@ void ExpectIdenticalSq8Arena(const StreamingGkMeans& a,
   }
 }
 
-TEST(CheckpointTest, Sq8ModelWritesV5AndRoundTrips) {
+TEST(CheckpointTest, Sq8ModelRoundTrips) {
   const SyntheticData data = StreamData(1000);
   StreamingGkMeans model(kDim, Sq8Params());
   Feed(model, data.vectors, 200);
@@ -492,7 +468,6 @@ TEST(CheckpointTest, Sq8ModelWritesV5AndRoundTrips) {
 
   const std::string path = TempPath("sq8.ckpt");
   SaveStreamCheckpoint(path, model);
-  EXPECT_EQ(FileVersion(ReadFileBytes(path)), 5u);
 
   StreamingGkMeans back = LoadStreamCheckpoint(path);
   ExpectIdenticalState(model, back);
@@ -507,16 +482,30 @@ TEST(CheckpointTest, Sq8ModelWritesV5AndRoundTrips) {
   std::remove(again.c_str());
 }
 
-TEST(CheckpointTest, Fp32ModelStillWritesVersion4) {
-  // The v5 container is opt-in via the storage mode: fp32 models keep
-  // emitting v4 bytes so pinned goldens stay valid.
+TEST(CheckpointTest, EveryModelWritesVersion6) {
+  // One writer format: storage, bootstrap state and routing change which
+  // blocks hold data, never the version word.
   const SyntheticData data = StreamData(600);
-  StreamingGkMeans model(kDim, SmallParams());
-  Feed(model, data.vectors, 200);
-  const std::string path = TempPath("fp32_v4.ckpt");
-  SaveStreamCheckpoint(path, model);
-  EXPECT_EQ(FileVersion(ReadFileBytes(path)), 4u);
-  std::remove(path.c_str());
+  StreamingGkMeansParams routed = SmallParams();
+  routed.graph.shards = 2;
+  routed.routed_placement = true;
+  const struct {
+    const char* name;
+    StreamingGkMeansParams params;
+    std::size_t rows;
+  } cases[] = {{"fp32", SmallParams(), 600},
+               {"sq8", Sq8Params(), 600},
+               {"pre-bootstrap", SmallParams(), 100},
+               {"routed", routed, 600}};
+  for (const auto& c : cases) {
+    StreamingGkMeans model(kDim, c.params);
+    Feed(model, SliceRows(data.vectors, 0, c.rows), 200);
+    ASSERT_EQ(model.bootstrapped(), c.rows > c.params.bootstrap_min) << c.name;
+    const std::string path = TempPath("version6.ckpt");
+    SaveStreamCheckpoint(path, model);
+    EXPECT_EQ(FileVersion(ReadFileBytes(path)), 6u) << c.name;
+    std::remove(path.c_str());
+  }
 }
 
 TEST(CheckpointTest, Sq8PreTrainingCheckpointRoundTripsAndTrainsIdentically) {
@@ -530,7 +519,6 @@ TEST(CheckpointTest, Sq8PreTrainingCheckpointRoundTripsAndTrainsIdentically) {
 
   const std::string path = TempPath("sq8_young.ckpt");
   SaveStreamCheckpoint(path, model);
-  EXPECT_EQ(FileVersion(ReadFileBytes(path)), 5u);
   StreamingGkMeans back = LoadStreamCheckpoint(path);
   std::remove(path.c_str());
   ExpectIdenticalState(model, back);
@@ -583,7 +571,7 @@ TEST(CheckpointTest, Sq8ChurnResumeContinuesBitExact) {
 
 TEST(CheckpointTest, Sq8DeltaChainResumeMatchesFullSnapshotByteForByte) {
   // The incremental path is storage-mode agnostic: base + journal replay in
-  // SQ8 mode lands on the byte-identical v5 snapshot a full save produces.
+  // SQ8 mode lands on the byte-identical snapshot a full save produces.
   const SyntheticData data = StreamData(1600);
   StreamingGkMeans model(kDim, Sq8Params());
   Feed(model, SliceRows(data.vectors, 0, 800), 200);

@@ -237,7 +237,7 @@ TEST(StreamConcurrencyTest, ChurnedStreamCheckpointsIdenticalAcrossThreads) {
 TEST(StreamConcurrencyTest, Sq8CheckpointsIdenticalAcrossThreadCounts) {
   // The determinism contract extended to the quantized arena: codes, norms
   // and quantizer state are model state, so an identical churned stream
-  // must serialize to byte-identical v5 files at any ingest thread count.
+  // must serialize to byte-identical files at any ingest thread count.
   // Covers the one-time train trigger and in-place re-encodes under the
   // writer lock (TSan checks the race-freedom half of the claim).
   const SyntheticData data = StreamData(2000);

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "checkpoint_projection.h"
 #include "dataset/synthetic.h"
 #include "stream/checkpoint.h"
 #include "stream/sharded_online_knn_graph.h"
@@ -56,25 +57,6 @@ void Feed(StreamingGkMeans& model, const Matrix& data, std::size_t window) {
 
 std::string TempPath(const char* name) {
   return ::testing::TempDir() + "/" + name;
-}
-
-std::string ReadFileBytes(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr) << path;
-  std::string bytes;
-  char buf[4096];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.append(buf, got);
-  }
-  std::fclose(f);
-  return bytes;
-}
-
-std::uint32_t FileVersion(const std::string& bytes) {
-  std::uint32_t v = 0;
-  std::memcpy(&v, bytes.data() + 4, sizeof(v));
-  return v;
 }
 
 TEST(StreamRoutingTest, RoutedPlacementKeepsPointsOnHomeShards) {
