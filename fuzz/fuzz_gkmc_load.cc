@@ -5,8 +5,10 @@
 // no filesystem round-trip is needed per execution.
 //
 // Build with -DGKM_FUZZ=ON. Under Clang this links libFuzzer; elsewhere
-// GKM_FUZZ_STANDALONE supplies a main() that replays the files given on
-// the command line (the checked-in corpus doubles as a regression suite).
+// GKM_FUZZ_STANDALONE supplies a main() that loads each file given on the
+// command line, prints `<file>: loaded` or `<file>: rejected: <error>`, and
+// exits non-zero when any file was rejected, so the checked-in corpus
+// doubles as a regression suite: every seed there must still load.
 
 #include <cstdint>
 #include <cstdio>
@@ -14,35 +16,38 @@
 
 #include "stream/checkpoint.h"
 
+namespace {
+
+/// Loads `data` as a GKMC checkpoint; false, with `*error` set, when the
+/// loader rejects it.
+bool Load(const std::uint8_t* data, std::size_t size, std::string* error) {
+  if (size == 0) {  // fmemopen rejects zero-length buffers
+    *error = "empty input";
+    return false;
+  }
+  std::FILE* f = fmemopen(const_cast<std::uint8_t*>(data), size, "rb");
+  if (f == nullptr) {
+    *error = "fmemopen failed";
+    return false;
+  }
+  const bool loaded = gkm::TryLoadStreamCheckpoint(f, error).has_value();
+  std::fclose(f);
+  return loaded;
+}
+
+}  // namespace
+
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
-  if (size == 0) return 0;  // fmemopen rejects zero-length buffers
-  std::FILE* f = fmemopen(const_cast<std::uint8_t*>(data), size, "rb");
-  if (f == nullptr) return 0;
   std::string error;
-  (void)gkm::TryLoadStreamCheckpoint(f, &error);
-  std::fclose(f);
+  (void)Load(data, size, &error);
   return 0;
 }
 
 #ifdef GKM_FUZZ_STANDALONE
-#include <cstdlib>
-#include <vector>
+#include "fuzz_replay_main.h"
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::FILE* f = std::fopen(argv[i], "rb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", argv[i]);
-      return 1;
-    }
-    std::vector<std::uint8_t> bytes;
-    int c;
-    while ((c = std::fgetc(f)) != EOF) bytes.push_back(static_cast<std::uint8_t>(c));
-    std::fclose(f);
-    LLVMFuzzerTestOneInput(bytes.data(), bytes.size());
-    std::printf("ok %s (%zu bytes)\n", argv[i], bytes.size());
-  }
-  return 0;
+  return gkmfuzz::ReplayFiles(argc, argv, Load);
 }
 #endif  // GKM_FUZZ_STANDALONE

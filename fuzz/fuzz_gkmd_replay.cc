@@ -6,6 +6,11 @@
 // model or a clean error — never an abort or crash. A journal cut mid-
 // record, lying about record sizes, or carrying unknown tags is the
 // expected input here, not the exception.
+//
+// Build with -DGKM_FUZZ=ON. Under Clang this links libFuzzer; elsewhere
+// GKM_FUZZ_STANDALONE supplies a main() that replays each journal given on
+// the command line, prints `<file>: loaded` or `<file>: rejected: <error>`,
+// and exits non-zero when any journal was rejected.
 
 #include <unistd.h>
 
@@ -29,6 +34,25 @@ void EnsureBase() {
   gkm::SaveStreamCheckpoint(g_base_path, gkmfuzz::MakeFuzzBase(1));
 }
 
+/// Replays `data` as a GKMD journal over the base; false, with `*error`
+/// set, when the replay rejects it.
+bool Replay(const std::uint8_t* data, std::size_t size, std::string* error) {
+  if (size == 0) {  // fmemopen rejects zero-length buffers
+    *error = "empty input";
+    return false;
+  }
+  EnsureBase();  // standalone builds never call LLVMFuzzerInitialize
+  std::FILE* journal = fmemopen(const_cast<std::uint8_t*>(data), size, "rb");
+  if (journal == nullptr) {
+    *error = "fmemopen failed";
+    return false;
+  }
+  const bool resumed =
+      gkm::TryResumeStreamCheckpoint(g_base_path, journal, error).has_value();
+  std::fclose(journal);
+  return resumed;
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerInitialize(int*, char***) {
@@ -38,33 +62,17 @@ extern "C" int LLVMFuzzerInitialize(int*, char***) {
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
-  if (size == 0) return 0;  // fmemopen rejects zero-length buffers
-  EnsureBase();  // standalone builds never call LLVMFuzzerInitialize
-  std::FILE* journal = fmemopen(const_cast<std::uint8_t*>(data), size, "rb");
-  if (journal == nullptr) return 0;
   std::string error;
-  (void)gkm::TryResumeStreamCheckpoint(g_base_path, journal, &error);
-  std::fclose(journal);
+  (void)Replay(data, size, &error);
   return 0;
 }
 
 #ifdef GKM_FUZZ_STANDALONE
-#include <vector>
+#include "fuzz_replay_main.h"
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::FILE* f = std::fopen(argv[i], "rb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", argv[i]);
-      return 1;
-    }
-    std::vector<std::uint8_t> bytes;
-    int c;
-    while ((c = std::fgetc(f)) != EOF) bytes.push_back(static_cast<std::uint8_t>(c));
-    std::fclose(f);
-    LLVMFuzzerTestOneInput(bytes.data(), bytes.size());
-    std::printf("ok %s (%zu bytes)\n", argv[i], bytes.size());
-  }
-  return 0;
+  const int status = gkmfuzz::ReplayFiles(argc, argv, Replay);
+  if (!g_base_path.empty()) std::remove(g_base_path.c_str());
+  return status;
 }
 #endif  // GKM_FUZZ_STANDALONE

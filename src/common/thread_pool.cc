@@ -3,6 +3,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/macros.h"
 
@@ -101,17 +102,18 @@ void ThreadPool::ParallelForSlots(
     for (std::size_t i = begin; i < end; ++i) fn(0, i);
     return;
   }
-  // One contiguous chunk per slot: slot s is owned by exactly one task, so
-  // per-slot caller state needs no locking.
-  const std::size_t chunks = std::min(n, threads);
-  const std::size_t chunk = (n + chunks - 1) / chunks;
-  const std::size_t live = (n + chunk - 1) / chunk;
-  CallLatch latch(live);
-  for (std::size_t c = 0; c < live; ++c) {
-    const std::size_t lo = begin + c * chunk;
-    const std::size_t hi = std::min(end, lo + chunk);
-    Submit([&fn, &latch, c, lo, hi] {
-      for (std::size_t i = lo; i < hi; ++i) fn(c, i);
+  // One task per slot, each pulling indices off a shared counter until the
+  // range runs out: slot s is owned by exactly one task, so per-slot caller
+  // state needs no locking, and a slow index delays only its own task.
+  const std::size_t slots = std::min(n, threads);
+  std::atomic<std::size_t> next{begin};
+  CallLatch latch(slots);
+  for (std::size_t s = 0; s < slots; ++s) {
+    Submit([&fn, &latch, &next, s, end] {
+      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+           i < end; i = next.fetch_add(1, std::memory_order_relaxed)) {
+        fn(s, i);
+      }
       latch.CountDown();
     });
   }

@@ -5,8 +5,10 @@
 // parallel phase is a pure fan-out over read-only state, and by the batch
 // pipeline: one pool builds Alg. 3's 2M trees ahead of their rounds, and a
 // second runs each round's per-cluster joins and graph flatten, whose
-// tasks write disjoint lists. The rounds themselves, and their Δ-I
-// epochs, stay in order on the calling thread (core/graph_builder.h).
+// tasks write disjoint lists. The final Alg. 2 clustering computes each
+// block's Δ-I decisions on the tree pool's workers and commits them in
+// order on the calling thread (core/gk_means.h); Alg. 3's one-epoch rounds
+// stay on the calling thread, in round order (core/graph_builder.h).
 //
 // ParallelFor/ParallelForSlots track completion with a per-call latch, so
 // any number of threads may fan out on one pool concurrently without
@@ -57,11 +59,13 @@ class ThreadPool {
                    const std::function<void(std::size_t)>& fn);
 
   /// Like ParallelFor, but `fn(slot, i)` also receives a slot index in
-  /// [0, num_threads()): the range is split into exactly one contiguous
-  /// chunk per slot and no two indices with the same slot ever run
-  /// concurrently, so callers can keep per-slot scratch (visited stamps,
-  /// buffers) without any further synchronization. Coarser chunking than
-  /// ParallelFor — slot affinity is traded against load balance. The inline
+  /// [0, num_threads()): one task per slot pulls indices off a shared
+  /// atomic counter, so no two indices with the same slot ever run
+  /// concurrently and callers can keep per-slot scratch (visited stamps,
+  /// buffers) without any further synchronization. Which slot runs which
+  /// index, and in what order, is not fixed: `fn` must give the same
+  /// result whatever slot runs it. Uneven indices balance across slots,
+  /// since a slot finishing early takes the next index. The inline
   /// fallback for small ranges or single-threaded pools uses slot 0.
   /// Concurrent submitters each get the full slot range; per-slot state
   /// must therefore be per-submitter too (as with the per-shard ingest

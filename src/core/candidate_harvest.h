@@ -61,21 +61,27 @@ inline Arrival BestArrival(const ClusterState& state, const float* x, float xn,
   return best;
 }
 
-/// One Delta-I move step (Alg. 2): point `x` in cluster `u` moves to its
-/// best harvested candidate when the total gain (arrival + leave) is
-/// positive. Returns the cluster `x` ends in: the destination after a
-/// move, `u` otherwise.
+/// The Delta-I decision (Alg. 2) for point `x` in cluster `u`: its best
+/// harvested candidate when the total gain (arrival + leave) is positive,
+/// `u` otherwise. Reads only the clusters `u` and `cand` of `state`.
+inline std::uint32_t DeltaIDecide(const ClusterState& state, const float* x,
+                                  float xn, std::uint32_t u,
+                                  const std::vector<std::uint32_t>& cand,
+                                  std::vector<double>& gains) {
+  const Arrival best = BestArrival(state, x, xn, cand, u, gains);
+  if (best.cluster == u) return u;
+  return best.gain + state.GainLeave(x, xn, u) > 0.0 ? best.cluster : u;
+}
+
+/// One Delta-I move step: DeltaIDecide, then the move it chose. Returns
+/// the cluster `x` ends in.
 inline std::uint32_t DeltaIStep(ClusterState& state, const float* x, float xn,
                                 std::uint32_t u,
                                 const std::vector<std::uint32_t>& cand,
                                 std::vector<double>& gains) {
-  const Arrival best = BestArrival(state, x, xn, cand, u, gains);
-  if (best.cluster == u) return u;
-  if (best.gain + state.GainLeave(x, xn, u) > 0.0) {
-    state.Move(x, u, best.cluster);
-    return best.cluster;
-  }
-  return u;
+  const std::uint32_t v = DeltaIDecide(state, x, xn, u, cand, gains);
+  if (v != u) state.Move(x, u, v);
+  return v;
 }
 
 }  // namespace gkm

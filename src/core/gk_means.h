@@ -55,8 +55,12 @@ GkStart MakeGkStart(const Matrix& data, const GkMeansParams& params);
 /// from `graph`. `graph` must span exactly data.rows() nodes. The graph's
 /// out-degree may exceed `kappa`; only the `kappa` closest neighbors are
 /// consulted. `params.seed` is not read: the start carries the randomness.
-/// `pool`, when given, flattens the graph on its workers; the epochs run
-/// on the calling thread, so the result is the same at any pool size.
+/// `pool`, when given, flattens the graph on its workers and computes the
+/// Δ-I decisions of every epoch after the first in blocks on them, which
+/// the calling thread commits in order, recomputing any decision whose
+/// clusters changed earlier in its block. Labels, distortion, trace and
+/// work counts are the same at any pool size, and labels, distortion and
+/// trace equal those of the pool-less, one-point-at-a-time run.
 ClusteringResult GkMeansWithGraph(const Matrix& data, const KnnGraph& graph,
                                   const GkMeansParams& params, GkStart start,
                                   ThreadPool* pool = nullptr);

@@ -18,10 +18,12 @@
 // builds. A round's clusters partition the nodes and each cluster's join
 // writes only its members' lists, so the joins run side by side on a
 // second pool, as does the per-node sort that flattens the graph for the
-// round's epoch. The graph-guided Δ-I epochs stay on the calling thread,
-// in round order. Every list sees the same offers in the same order
-// whatever the pools' sizes, so the graph, the per-round stats and every
-// label are bit-identical at any thread count.
+// round's epoch. Each round runs one graph-guided Δ-I epoch, and
+// GkMeansWithGraph runs a call's first epoch inline, so the epochs stay on
+// the calling thread, in round order; the final clustering's later epochs
+// go to the tree pool (core/gk_means.h). Every list sees the same offers
+// in the same order whatever the pools' sizes, so the graph, the per-round
+// stats and every label are bit-identical at any thread count.
 
 #ifndef GKM_CORE_GRAPH_BUILDER_H_
 #define GKM_CORE_GRAPH_BUILDER_H_

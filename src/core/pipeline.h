@@ -20,7 +20,7 @@ struct PipelineParams {
   GkMeansParams clustering;    ///< Alg. 2 options (k is overridden)
   /// Alg. 3 options; `graph.threads` also sizes the pool that builds the
   /// final clustering's tree behind the round trees and then flattens the
-  /// graph for the final clustering.
+  /// graph for the final clustering and computes its Δ-I decisions.
   GraphBuildParams graph;
 };
 

@@ -34,6 +34,12 @@ struct ClusteringResult {
   double total_seconds = 0.0;              ///< init + iter
   std::vector<IterStat> trace;             ///< per-iteration series
   std::string method;                      ///< identifier for reports
+  /// GK-means BKM work counts (zero for every other method). Each Δ-I
+  /// visit is exactly one of the three, and all three are exact for a
+  /// fixed input: they do not depend on the pool's size (≥ 1 worker).
+  std::size_t cached_stays = 0;          ///< stays reused, nothing scored
+  std::size_t proposals_committed = 0;   ///< decisions committed as computed
+  std::size_t proposals_recomputed = 0;  ///< decisions gone stale, redone
 };
 
 }  // namespace gkm

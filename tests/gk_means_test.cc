@@ -1,16 +1,26 @@
 // Copyright 2026 The gkmeans Authors.
 // Tests for GK-means (Alg. 2): contract, monotone objective in BKM mode,
 // quality close to full BKM when the graph is exact, degradation to the
-// init when the graph is useless, and the GK-means⁻ variant.
+// init when the graph is useless, the GK-means⁻ variant, and the blocked
+// multi-core epochs against the serial BKM loop they must reproduce.
 
 #include "core/gk_means.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <utility>
+
+#include "common/distance.h"
+#include "common/thread_pool.h"
+#include "core/candidate_harvest.h"
+#include "core/graph_builder.h"
 #include "dataset/synthetic.h"
 #include "eval/metrics.h"
 #include "graph/brute_force.h"
 #include "kmeans/boost_kmeans.h"
+#include "kmeans/cluster_state.h"
 
 namespace gkm {
 namespace {
@@ -164,6 +174,151 @@ TEST(GkMeansTest, DeterministicForSeed) {
   p.seed = 77;
   EXPECT_EQ(GkMeansWithGraph(data.vectors, graph, p).assignments,
             GkMeansWithGraph(data.vectors, graph, p).assignments);
+}
+
+std::uint64_t Bits(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// The serial BKM loop of Alg. 2 — one HarvestCandidates + DeltaIStep per
+// point, in shuffled order — kept as the reference the blocked epochs of
+// GkMeansWithGraph must reproduce bit for bit. Fills labels, distortion
+// and the per-epoch trace (elapsed time left at 0).
+ClusteringResult ReferenceBkm(const Matrix& data, const KnnGraph& graph,
+                              const GkMeansParams& params, GkStart start) {
+  const std::size_t n = data.rows();
+  const std::size_t kappa = std::min(params.kappa, graph.k());
+  const std::vector<std::uint32_t> flat =
+      graph.FlattenNeighborIds(kappa, nullptr);
+  std::vector<std::uint32_t>& labels = start.labels;
+  ClusterState state(data, labels, params.k);
+  std::vector<float> norms(n);
+  RowNormsSqr(data, norms.data());
+  std::vector<std::uint32_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
+  std::vector<std::uint32_t> stamp(params.k, 0);
+  std::uint32_t cur_stamp = 0;
+  std::vector<std::uint32_t> cand;
+  std::vector<double> gains;
+  ClusteringResult res;
+  for (std::size_t it = 0; it < params.max_iters; ++it) {
+    start.rng.Shuffle(order);
+    std::size_t moves = 0;
+    for (const std::uint32_t i : order) {
+      const std::uint32_t u = labels[i];
+      if (state.CountOf(u) < 2) continue;
+      ++cur_stamp;
+      HarvestCandidates(flat.data() + static_cast<std::size_t>(i) * kappa,
+                        kappa, labels, u, stamp, cur_stamp, cand);
+      if (cand.empty()) continue;
+      const std::uint32_t v =
+          DeltaIStep(state, data.Row(i), norms[i], u, cand, gains);
+      if (v != u) {
+        labels[i] = v;
+        ++moves;
+      }
+    }
+    res.trace.push_back(IterStat{it, state.Distortion(), 0.0, moves});
+    res.iterations = it + 1;
+    if (moves == 0) break;
+  }
+  res.distortion = state.Distortion();
+  res.assignments = std::move(labels);
+  return res;
+}
+
+void ExpectSameRun(const ClusteringResult& got, const ClusteringResult& want) {
+  EXPECT_EQ(got.assignments, want.assignments);
+  EXPECT_EQ(Bits(got.distortion), Bits(want.distortion));
+  ASSERT_EQ(got.trace.size(), want.trace.size());
+  for (std::size_t t = 0; t < want.trace.size(); ++t) {
+    SCOPED_TRACE(t);
+    EXPECT_EQ(got.trace[t].moves, want.trace[t].moves);
+    EXPECT_EQ(Bits(got.trace[t].distortion), Bits(want.trace[t].distortion));
+  }
+}
+
+// Runs GkMeansWithGraph with no pool and on pools of 1-4 workers, checks
+// every run against ReferenceBkm, and stores in `counts` the pool runs'
+// result, whose work counts must agree across pool sizes and cover every
+// visit.
+void ExpectBlockedMatchesReference(const Matrix& data, const KnnGraph& graph,
+                                   const GkMeansParams& params,
+                                   ClusteringResult* counts) {
+  const GkStart start = MakeGkStart(data, params);
+  const ClusteringResult want = ReferenceBkm(data, graph, params, start);
+  ASSERT_GT(want.iterations, 1u);  // the pool only joins from epoch 1 on
+  {
+    SCOPED_TRACE("no pool");
+    const ClusteringResult got =
+        GkMeansWithGraph(data, graph, params, start, nullptr);
+    ExpectSameRun(got, want);
+    EXPECT_EQ(got.proposals_recomputed, 0u);
+  }
+  ClusteringResult& first = *counts;
+  for (std::size_t workers = 1; workers <= 4; ++workers) {
+    SCOPED_TRACE(workers);
+    ThreadPool pool(workers);
+    const ClusteringResult got =
+        GkMeansWithGraph(data, graph, params, start, &pool);
+    ExpectSameRun(got, want);
+    EXPECT_EQ(got.cached_stays + got.proposals_committed +
+                  got.proposals_recomputed,
+              data.rows() * got.iterations);
+    if (workers == 1) {
+      first = got;
+      continue;
+    }
+    EXPECT_EQ(got.cached_stays, first.cached_stays);
+    EXPECT_EQ(got.proposals_committed, first.proposals_committed);
+    EXPECT_EQ(got.proposals_recomputed, first.proposals_recomputed);
+  }
+  // Each path of the commit ran, so the match above is not the inline
+  // path alone.
+  EXPECT_GT(first.cached_stays, 0u);
+  EXPECT_GT(first.proposals_committed, 0u);
+  EXPECT_GT(first.proposals_recomputed, 0u);
+}
+
+// The batch golden's input, graph and final clustering parameters
+// (tests/pipeline_test.cc).
+TEST(GkMeansBlockedTest, MatchesSerialLoopOnBatchGolden) {
+  const SyntheticData data = MakeSiftLike(3000, 32, 2026);
+  GraphBuildParams gp;
+  gp.kappa = 16;
+  gp.xi = 40;
+  gp.tau = 4;
+  gp.seed = 17;
+  gp.threads = 1;
+  const KnnGraph graph = BuildKnnGraph(data.vectors, gp);
+  GkMeansParams p;
+  p.k = 60;
+  p.kappa = 16;
+  p.seed = 23;
+  ClusteringResult counts;
+  ExpectBlockedMatchesReference(data.vectors, graph, p, &counts);
+}
+
+// Three clusters over one Gaussian blob: every move dirties a cluster
+// that nearly every later decision of its block read, and moves keep
+// coming for a dozen epochs, so most proposals are recomputed.
+TEST(GkMeansBlockedTest, MatchesSerialLoopWhenMostProposalsGoStale) {
+  SyntheticSpec spec;
+  spec.n = 1000;
+  spec.dim = 10;
+  spec.modes = 1;
+  spec.seed = 109;
+  const SyntheticData data = MakeGaussianMixture(spec);
+  const KnnGraph graph = BruteForceGraph(data.vectors, 10);
+  GkMeansParams p;
+  p.k = 3;
+  p.kappa = 10;
+  p.seed = 5;
+  ClusteringResult counts;
+  ExpectBlockedMatchesReference(data.vectors, graph, p, &counts);
+  EXPECT_GT(counts.proposals_recomputed, counts.proposals_committed);
 }
 
 }  // namespace

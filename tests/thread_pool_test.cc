@@ -4,7 +4,9 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -93,6 +95,29 @@ TEST(ThreadPoolTest, ParallelForSlotsNeverRunsASlotConcurrently) {
   std::size_t sum = 0;
   for (const std::size_t c : per_slot) sum += c;
   EXPECT_EQ(sum, n);
+}
+
+TEST(ThreadPoolTest, ParallelForSlotsSlowIndexDelaysOnlyItsOwnSlot) {
+  // Index 0 holds its slot until every other index has run. With indices
+  // pulled off a shared counter the other slot takes them all; with one
+  // fixed chunk per slot, index 0's chunk-mates would wait behind it.
+  ThreadPool pool(2);
+  const std::size_t n = 100;
+  std::atomic<std::size_t> done{0};
+  bool others_ran = false;
+  pool.ParallelForSlots(0, n, [&](std::size_t, std::size_t i) {
+    if (i != 0) {
+      done.fetch_add(1);
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (done.load() < n - 1 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    others_ran = done.load() == n - 1;
+  });
+  EXPECT_TRUE(others_ran);
 }
 
 TEST(ThreadPoolTest, ParallelForSlotsInlineFallbackUsesSlotZero) {
