@@ -42,6 +42,10 @@ class Matrix {
   /// Number of floats between consecutive rows (>= cols()).
   std::size_t stride() const { return stride_; }
   bool empty() const { return n_ == 0; }
+  /// Rows the storage holds before AppendRow must grow it.
+  std::size_t capacity() const {
+    return stride_ == 0 ? 0 : (data_.size() - kAlignFloats) / stride_;
+  }
 
   /// Pointer to row `i` (64-byte aligned).
   float* Row(std::size_t i) {

@@ -4,11 +4,11 @@
 // recall estimation), for the streaming subsystem's window ingest, whose
 // parallel phase is a pure fan-out over read-only state, and by the batch
 // pipeline: one pool builds Alg. 3's 2M trees ahead of their rounds, and a
-// second runs each round's per-cluster joins and graph flatten, whose
-// tasks write disjoint lists. The final Alg. 2 clustering computes each
-// block's Δ-I decisions on the tree pool's workers and commits them in
-// order on the calling thread (core/gk_means.h); Alg. 3's one-epoch rounds
-// stay on the calling thread, in round order (core/graph_builder.h).
+// second runs each round's per-cluster joins, whose tasks write disjoint
+// lists. The final Alg. 2 clustering computes each block's Δ-I decisions
+// on the tree pool's workers and commits them in order on the calling
+// thread (core/gk_means.h); Alg. 3's one-epoch rounds stay on the calling
+// thread, in round order (core/graph_builder.h).
 //
 // ParallelFor/ParallelForSlots track completion with a per-call latch, so
 // any number of threads may fan out on one pool concurrently without

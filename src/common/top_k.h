@@ -1,7 +1,8 @@
 // Copyright 2026 The gkmeans Authors.
-// Bounded nearest-neighbor list: the per-node building block of every KNN
-// graph in the library. Keeps the k closest (id, distance) pairs seen so
-// far, rejecting duplicates, with O(log k) insertion via a max-heap.
+// Bounded nearest-neighbor list of brute-force search, the batched top-k
+// kernel (L2SqrToTopK) and route hints. Keeps the k closest (id, distance)
+// pairs seen so far, rejecting duplicates, with O(log k) insertion via a
+// max-heap. KnnGraph's sorted rows follow the same offer rule.
 
 #ifndef GKM_COMMON_TOP_K_H_
 #define GKM_COMMON_TOP_K_H_
@@ -64,19 +65,6 @@ class TopK {
     }
     std::push_heap(heap_.begin(), heap_.end(), ByDist);
     return true;
-  }
-
-  /// Removes the entry with `id` if present; returns true when one was
-  /// removed. O(k) scan plus an O(k) re-heapify — removal is the cold path
-  /// (tombstone purges and in-edge repair), so no index is maintained.
-  bool EraseId(std::uint32_t id) {
-    for (std::size_t i = 0; i < heap_.size(); ++i) {
-      if (heap_[i].id != id) continue;
-      heap_.erase(heap_.begin() + static_cast<std::ptrdiff_t>(i));
-      std::make_heap(heap_.begin(), heap_.end(), ByDist);
-      return true;
-    }
-    return false;
   }
 
   /// Extracts the contents sorted ascending by distance, leaving the set

@@ -10,28 +10,39 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
+#include "common/top_k.h"
 #include "kmeans/cluster_state.h"
 
 namespace gkm {
 
-/// Collects the distinct cluster ids of the neighbors in `nbrs[0..kappa)`
-/// into `cand`, excluding `skip` (pass an impossible label, e.g. k, to keep
-/// all). `nbrs` entries of UINT32_MAX terminate the scan (short lists).
-/// `stamp`/`cur_stamp` implement the allocation-free dedup; the caller
-/// increments `cur_stamp` before every call.
-inline void HarvestCandidates(const std::uint32_t* nbrs, std::size_t kappa,
-                              const std::vector<std::uint32_t>& labels,
+/// The label of a point that belongs to no cluster (a streaming slot not
+/// yet assigned, or tombstoned).
+inline constexpr std::uint32_t kNoLabel =
+    std::numeric_limits<std::uint32_t>::max();
+
+/// Collects the distinct cluster ids of the first `kappa` labeled
+/// neighbors of the graph row `nbrs` (nearest first) into `cand`,
+/// excluding `skip` (pass an impossible label, e.g. k, to keep all). A
+/// neighbor labeled kNoLabel is passed over and not counted. `labels[id]`
+/// is neighbor `id`'s label: a label vector, or any view with that
+/// operator. `stamp`/`cur_stamp` implement the allocation-free dedup; the
+/// caller increments `cur_stamp` before every call.
+template <typename Labels>
+inline void HarvestCandidates(std::span<const Neighbor> nbrs,
+                              std::size_t kappa, const Labels& labels,
                               std::uint32_t skip,
                               std::vector<std::uint32_t>& stamp,
                               std::uint32_t cur_stamp,
                               std::vector<std::uint32_t>& cand) {
   cand.clear();
-  for (std::size_t j = 0; j < kappa; ++j) {
-    const std::uint32_t nb = nbrs[j];
-    if (nb == std::numeric_limits<std::uint32_t>::max()) break;
-    const std::uint32_t c = labels[nb];
+  std::size_t taken = 0;
+  for (std::size_t j = 0; j < nbrs.size() && taken < kappa; ++j) {
+    const std::uint32_t c = labels[nbrs[j].id];
+    if (c == kNoLabel) continue;
+    ++taken;
     if (c == skip || stamp[c] == cur_stamp) continue;
     stamp[c] = cur_stamp;
     cand.push_back(c);

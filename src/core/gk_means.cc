@@ -22,7 +22,7 @@ namespace {
 
 /// Points of a block whose decisions are computed side by side.
 constexpr std::size_t kBlock = 256;
-/// Visits ahead whose row and neighbor list an epoch prefetches.
+/// Visits ahead whose data row and graph row an epoch prefetches.
 constexpr std::size_t kPrefetchAhead = 8;
 
 /// Hints every cache line of [p, p + bytes) into the cache.
@@ -66,10 +66,10 @@ struct Scratch {
 class DeltaIEpochs {
  public:
   DeltaIEpochs(const Matrix& data, const std::vector<float>& norms,
-               const std::vector<std::uint32_t>& flat, std::size_t kappa,
-               std::size_t k, ThreadPool* pool, ClusterState& state,
+               const KnnGraph& graph, std::size_t kappa, std::size_t k,
+               ThreadPool* pool, ClusterState& state,
                std::vector<std::uint32_t>& labels)
-      : data_(data), norms_(norms), flat_(flat), kappa_(kappa), pool_(pool),
+      : data_(data), norms_(norms), graph_(graph), kappa_(kappa), pool_(pool),
         state_(state), labels_(labels), changed_(k, 0),
         stayed_(data.rows(), kNever), scratch_(NumSlots(pool)),
         props_(pool == nullptr ? 1 : kBlock) {
@@ -114,8 +114,9 @@ class DeltaIEpochs {
 
   void Prefetch(std::uint32_t i) const {
     PrefetchBytes(data_.Row(i), data_.cols() * sizeof(float));
-    PrefetchBytes(flat_.data() + static_cast<std::size_t>(i) * kappa_,
-                  kappa_ * sizeof(std::uint32_t));
+    // A row holds graph.k() >= kappa_ slots, so its first kappa_ are in
+    // bounds however many of them are filled.
+    PrefetchBytes(graph_.NeighborsOf(i).data(), kappa_ * sizeof(Neighbor));
   }
 
   /// Point i's decision against the current state. Writes only `s` and `p`.
@@ -125,8 +126,8 @@ class DeltaIEpochs {
     p.cached = false;
     p.cand.clear();
     if (state_.CountOf(u) < 2) return;
-    HarvestCandidates(flat_.data() + static_cast<std::size_t>(i) * kappa_,
-                      kappa_, labels_, u, s.stamp, ++s.cur_stamp, p.cand);
+    HarvestCandidates(graph_.NeighborsOf(i), kappa_, labels_, u, s.stamp,
+                      ++s.cur_stamp, p.cand);
     if (p.cand.empty()) return;
     if (stayed_[i] != kNever && !ChangedSince(p, stayed_[i])) {
       p.cached = true;
@@ -172,7 +173,7 @@ class DeltaIEpochs {
 
   const Matrix& data_;
   const std::vector<float>& norms_;
-  const std::vector<std::uint32_t>& flat_;
+  const KnnGraph& graph_;
   const std::size_t kappa_;
   ThreadPool* const pool_;
   ClusterState& state_;
@@ -222,10 +223,9 @@ ClusteringResult GkMeansWithGraph(const Matrix& data, const KnnGraph& graph,
   // The run's clock starts when obtaining the start did.
   Timer timer;
   const auto elapsed = [&] { return start.seconds + timer.Seconds(); };
-  // Flattened once per run — the graph is static during batch clustering.
+  // The graph is static during batch clustering: epochs read its sorted
+  // rows in place.
   const std::size_t kappa = std::min(params.kappa, graph.k());
-  const std::vector<std::uint32_t> flat =
-      graph.FlattenNeighborIds(kappa, pool);
 
   ClusterState state(data, labels, k);
   std::vector<float> norms(n);
@@ -241,7 +241,7 @@ ClusteringResult GkMeansWithGraph(const Matrix& data, const KnnGraph& graph,
     // The first epoch moves about half the points, so most block
     // decisions would go stale: it runs inline, as do all epochs without
     // a pool. ---
-    DeltaIEpochs epochs(data, norms, flat, kappa, k, pool, state, labels);
+    DeltaIEpochs epochs(data, norms, graph, kappa, k, pool, state, labels);
     for (std::size_t it = 0; it < params.max_iters; ++it) {
       rng.Shuffle(order);
       const std::size_t moves = epochs.Run(order, it == 0, res);
@@ -270,7 +270,7 @@ ClusteringResult GkMeansWithGraph(const Matrix& data, const KnnGraph& graph,
         cand.clear();
         cand.push_back(u);
         stamp[u] = cur_stamp;
-        HarvestCandidates(flat.data() + i * kappa, kappa, labels,
+        HarvestCandidates(graph.NeighborsOf(i), kappa, labels,
                           static_cast<std::uint32_t>(k), stamp, cur_stamp,
                           cand);
         // One gathered batch over the harvested candidate centroids.

@@ -54,9 +54,9 @@ GkStart MakeGkStart(const Matrix& data, const GkMeansParams& params);
 /// Runs Alg. 2 on `data` from `start`, with candidate clusters harvested
 /// from `graph`. `graph` must span exactly data.rows() nodes. The graph's
 /// out-degree may exceed `kappa`; only the `kappa` closest neighbors are
-/// consulted. `params.seed` is not read: the start carries the randomness.
-/// `pool`, when given, flattens the graph on its workers and computes the
-/// Δ-I decisions of every epoch after the first in blocks on them, which
+/// consulted, read in place from the graph's sorted rows. `params.seed` is
+/// not read: the start carries the randomness. `pool`, when given, computes
+/// the Δ-I decisions of every epoch after the first in blocks on it, which
 /// the calling thread commits in order, recomputing any decision whose
 /// clusters changed earlier in its block. Labels, distortion, trace and
 /// work counts are the same at any pool size, and labels, distortion and

@@ -194,9 +194,9 @@ KnnGraph BuildKnnGraph(const Matrix& data, const GraphBuildParams& params,
     graph.ScoreRandomCandidates(data, candidates);
   }
 
-  // The rounds' joins and graph flattens run on their own pool: the tree
-  // pool's FIFO queue holds up to τ+1 trees, which their chunks would wait
-  // behind. The calling thread waits on it, so it has `threads` workers.
+  // The rounds' joins run on their own pool: the tree pool's FIFO queue
+  // holds up to τ+1 trees, which their chunks would wait behind. The
+  // calling thread waits on it, so it has `threads` workers.
   const std::size_t threads = ResolveThreads(params.threads);
   const std::unique_ptr<ThreadPool> data_pool =
       threads > 1 && params.tau > 0 ? std::make_unique<ThreadPool>(threads)

@@ -17,13 +17,13 @@
 // init's candidates are drawn before the seeds and scored while tree 0
 // builds. A round's clusters partition the nodes and each cluster's join
 // writes only its members' lists, so the joins run side by side on a
-// second pool, as does the per-node sort that flattens the graph for the
-// round's epoch. Each round runs one graph-guided Δ-I epoch, and
-// GkMeansWithGraph runs a call's first epoch inline, so the epochs stay on
-// the calling thread, in round order; the final clustering's later epochs
-// go to the tree pool (core/gk_means.h). Every list sees the same offers
-// in the same order whatever the pools' sizes, so the graph, the per-round
-// stats and every label are bit-identical at any thread count.
+// second pool. Each round runs one graph-guided Δ-I epoch over the graph's
+// sorted rows, read in place, and GkMeansWithGraph runs a call's first
+// epoch inline, so the epochs stay on the calling thread, in round order;
+// the final clustering's later epochs go to the tree pool
+// (core/gk_means.h). Every list sees the same offers in the same order
+// whatever the pools' sizes, so the graph, the per-round stats and every
+// label are bit-identical at any thread count.
 
 #ifndef GKM_CORE_GRAPH_BUILDER_H_
 #define GKM_CORE_GRAPH_BUILDER_H_
@@ -55,10 +55,9 @@ struct GraphBuildParams {
   std::uint64_t seed = 42;
   /// Threads of the whole build: the pool that builds the rounds' 2M
   /// trees ahead gets one worker per thread beyond the caller's, and the
-  /// pool that runs each round's joins and graph flatten gets one per
-  /// thread. 0 means all hardware threads; 1 runs every phase inline, in
-  /// round order. An execution knob only: the graph is bit-identical at
-  /// any value.
+  /// pool that runs each round's joins gets one per thread. 0 means all
+  /// hardware threads; 1 runs every phase inline, in round order. An
+  /// execution knob only: the graph is bit-identical at any value.
   std::size_t threads = 0;
 };
 
@@ -111,7 +110,7 @@ class PendingStart {
 };
 
 /// BuildKnnGraph on a caller's tree pool (nullptr: every tree inline, in
-/// round order); the pool for joins and flattens is still the call's own.
+/// round order); the pool for joins is still the call's own.
 /// `then`, when given, is queued on the tree pool right behind the τ round
 /// trees: GkMeansCluster overlaps its final clustering's tree with the
 /// last rounds this way.

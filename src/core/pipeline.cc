@@ -25,8 +25,7 @@ PipelineResult GkMeansCluster(const Matrix& data,
   out.graph_seconds = timer.Seconds();
 
   // Every tree is built once the final start is taken, so the idle tree
-  // pool flattens the graph for the final clustering and computes its
-  // epochs' Δ-I decisions.
+  // pool computes the final clustering's Δ-I decisions.
   out.clustering = GkMeansWithGraph(data, out.graph, clustering,
                                     final_start.Take(), pool.get());
   // Fold the graph cost into the reported init/total so pipeline timings

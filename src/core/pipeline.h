@@ -19,8 +19,8 @@ struct PipelineParams {
   std::size_t k = 8;           ///< final number of clusters
   GkMeansParams clustering;    ///< Alg. 2 options (k is overridden)
   /// Alg. 3 options; `graph.threads` also sizes the pool that builds the
-  /// final clustering's tree behind the round trees and then flattens the
-  /// graph for the final clustering and computes its Δ-I decisions.
+  /// final clustering's tree behind the round trees and then computes the
+  /// final clustering's Δ-I decisions.
   GraphBuildParams graph;
 };
 

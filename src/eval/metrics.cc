@@ -76,7 +76,7 @@ double GraphRecallAtK(const KnnGraph& graph, const KnnGraph& truth,
   double hits = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::vector<Neighbor> true_top = truth.SortedNeighbors(i);
-    const std::vector<Neighbor>& approx = graph.NeighborsOf(i);
+    const std::span<const Neighbor> approx = graph.NeighborsOf(i);
     std::size_t found = 0;
     const std::size_t limit = std::min(at, true_top.size());
     for (std::size_t r = 0; r < limit; ++r) {

@@ -3,65 +3,68 @@
 #include "graph/knn_graph.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/binary_io.h"
 #include "common/distance.h"
 #include "common/macros.h"
-#include "common/thread_pool.h"
 
 namespace gkm {
 
-KnnGraph::KnnGraph(std::size_t n, std::size_t k) : k_(k) {
+KnnGraph::KnnGraph(std::size_t n, std::size_t k)
+    : k_(k), rows_(n * k), sizes_(n, 0) {
   GKM_CHECK(k > 0);
-  lists_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) lists_.emplace_back(k);
 }
 
 std::size_t KnnGraph::NumEdges() const {
   std::size_t total = 0;
-  for (const TopK& list : lists_) total += list.size();
+  for (const std::uint32_t size : sizes_) total += size;
   return total;
 }
 
 std::vector<Neighbor> KnnGraph::SortedNeighbors(std::size_t i) const {
-  std::vector<Neighbor> out;
-  SortedNeighborsInto(i, out);
-  return out;
+  const std::span<const Neighbor> row = NeighborsOf(i);
+  return {row.begin(), row.end()};
 }
 
 void KnnGraph::SortedNeighborsInto(std::size_t i,
                                    std::vector<Neighbor>& out) const {
-  const std::vector<Neighbor>& items = lists_[i].items();
-  out.assign(items.begin(), items.end());
-  std::sort(out.begin(), out.end());
-}
-
-std::vector<std::uint32_t> KnnGraph::FlattenNeighborIds(
-    std::size_t kappa, ThreadPool* pool) const {
-  const std::size_t n = num_nodes();
-  std::vector<std::uint32_t> flat(n * kappa,
-                                  std::numeric_limits<std::uint32_t>::max());
-  std::vector<std::vector<Neighbor>> sorted(NumSlots(pool));
-  ParallelForSlots(pool, 0, n, [&](std::size_t slot, std::size_t i) {
-    std::vector<Neighbor>& list = sorted[slot];
-    SortedNeighborsInto(i, list);
-    const std::size_t take = std::min(kappa, list.size());
-    for (std::size_t j = 0; j < take; ++j) flat[i * kappa + j] = list[j].id;
-  });
-  return flat;
+  const std::span<const Neighbor> row = NeighborsOf(i);
+  out.assign(row.begin(), row.end());
 }
 
 std::uint32_t KnnGraph::AddNode() {
   GKM_CHECK_MSG(k_ > 0, "AddNode on a default-constructed graph");
-  lists_.emplace_back(k_);
-  return static_cast<std::uint32_t>(lists_.size() - 1);
+  rows_.resize(rows_.size() + k_);
+  sizes_.push_back(0);
+  return static_cast<std::uint32_t>(sizes_.size() - 1);
+}
+
+void KnnGraph::Reserve(std::size_t n) {
+  rows_.reserve(n * k_);
+  sizes_.reserve(n);
 }
 
 bool KnnGraph::Update(std::size_t i, std::uint32_t j, float dist) {
-  GKM_DCHECK(i < lists_.size());
   if (static_cast<std::uint32_t>(i) == j) return false;
-  return lists_[i].Push(j, dist);
+  return Offer(i, j, dist);
+}
+
+bool KnnGraph::Offer(std::size_t i, std::uint32_t j, float dist) {
+  Neighbor* const row = Row(i);
+  std::uint32_t& size = sizes_[i];
+  const bool full = size == k_;
+  if (full && dist >= row[size - 1].dist) return false;
+  for (std::size_t s = 0; s < size; ++s) {
+    if (row[s].id == j) return false;
+  }
+  // A full row drops its last entry, the largest by (dist, id).
+  const Neighbor fresh{j, dist};
+  Neighbor* const end = row + (full ? size - 1 : size);
+  Neighbor* const pos = std::lower_bound(row, end, fresh);
+  std::copy_backward(pos, end, end + 1);
+  *pos = fresh;
+  if (!full) ++size;
+  return true;
 }
 
 int KnnGraph::UpdateBoth(std::size_t i, std::size_t j, float dist) {
@@ -72,13 +75,20 @@ int KnnGraph::UpdateBoth(std::size_t i, std::size_t j, float dist) {
 }
 
 bool KnnGraph::RemoveNeighbor(std::size_t i, std::uint32_t j) {
-  GKM_DCHECK(i < lists_.size());
-  return lists_[i].EraseId(j);
+  Neighbor* row = Row(i);
+  std::uint32_t& size = sizes_[i];
+  Neighbor* const end = row + size;
+  Neighbor* const hit = std::find_if(
+      row, end, [j](const Neighbor& nb) { return nb.id == j; });
+  if (hit == end) return false;
+  std::copy(hit + 1, end, hit);
+  --size;
+  return true;
 }
 
 void KnnGraph::ClearList(std::size_t i) {
-  GKM_DCHECK(i < lists_.size());
-  lists_[i] = TopK(k_);
+  GKM_DCHECK(i < sizes_.size());
+  sizes_[i] = 0;
 }
 
 void KnnGraph::InitRandom(const Matrix& data, Rng& rng) {
@@ -107,21 +117,24 @@ void KnnGraph::ScoreRandomCandidates(
   GKM_CHECK_MSG(candidates.size() == n * width,
                 "one row of k+1 candidates per node required");
   for (std::size_t i = 0; i < n; ++i) {
+    // An empty row accepts k distinct offers, none of them itself, so it
+    // ends as exactly their sorted set: write them, then sort once.
+    GKM_CHECK_MSG(sizes_[i] == 0, "random init of a non-empty list");
+    Neighbor* const row = Row(i);
     std::size_t added = 0;
     for (std::size_t j = 0; j < width && added < k_; ++j) {
       const std::uint32_t c = candidates[i * width + j];
       if (c == i) continue;
-      Update(i, c, L2Sqr(data.Row(i), data.Row(c), data.cols()));
-      ++added;
+      row[added++] = {c, L2Sqr(data.Row(i), data.Row(c), data.cols())};
     }
+    std::sort(row, row + added);
+    sizes_[i] = static_cast<std::uint32_t>(added);
   }
 }
 
 void KnnGraph::SetList(std::size_t i, const std::vector<Neighbor>& neighbors) {
-  GKM_DCHECK(i < lists_.size());
-  TopK fresh(k_);
-  for (const Neighbor& nb : neighbors) fresh.Push(nb.id, nb.dist);
-  lists_[i] = std::move(fresh);
+  ClearList(i);
+  for (const Neighbor& nb : neighbors) Offer(i, nb.id, nb.dist);
 }
 
 void KnnGraph::SaveTo(std::FILE* f) const {
@@ -129,7 +142,7 @@ void KnnGraph::SaveTo(std::FILE* f) const {
   io::WriteRaw<std::uint64_t>(f, n);
   io::WriteRaw<std::uint64_t>(f, k_);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::vector<Neighbor> nbs = SortedNeighbors(i);
+    const std::span<const Neighbor> nbs = NeighborsOf(i);
     io::WriteRaw<std::uint32_t>(f, static_cast<std::uint32_t>(nbs.size()));
     io::WriteArray(f, nbs.data(), nbs.size());
   }

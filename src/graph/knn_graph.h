@@ -1,17 +1,19 @@
 // Copyright 2026 The gkmeans Authors.
 // The KNN graph container shared by the graph builders (Alg. 3, NN-Descent,
 // brute force), the GK-means candidate harvesting loop and the ANN search
-// layer. Each node keeps its κ best neighbors found so far as a bounded
-// max-heap (TopK).
+// layer. Each node keeps its κ best neighbors found so far in its row of
+// one flat n×κ array, sorted by (dist, id), so readers take a row in place.
 
 #ifndef GKM_GRAPH_KNN_GRAPH_H_
 #define GKM_GRAPH_KNN_GRAPH_H_
 
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/macros.h"
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "common/top_k.h"
@@ -20,7 +22,6 @@ namespace gkm {
 namespace io {
 class Reader;
 }  // namespace io
-class ThreadPool;
 
 /// Approximate k-nearest-neighbor graph over `n` nodes with out-degree κ.
 class KnnGraph {
@@ -30,39 +31,40 @@ class KnnGraph {
   /// Creates an empty graph (no edges yet) with capacity κ per node.
   KnnGraph(std::size_t n, std::size_t k);
 
-  std::size_t num_nodes() const { return lists_.size(); }
+  std::size_t num_nodes() const { return sizes_.size(); }
   std::size_t k() const { return k_; }
 
   /// Total number of directed edges currently stored (<= num_nodes * k).
   std::size_t NumEdges() const;
 
-  /// Neighbor list of node `i` (unsorted; see SortedNeighbors).
-  const std::vector<Neighbor>& NeighborsOf(std::size_t i) const {
-    return lists_[i].items();
+  /// Node `i`'s neighbors in place, sorted ascending by (dist, id). Valid
+  /// until the graph next changes.
+  std::span<const Neighbor> NeighborsOf(std::size_t i) const {
+    GKM_DCHECK(i < sizes_.size());
+    return {rows_.data() + i * k_, sizes_[i]};
   }
 
   /// Neighbors of node `i` sorted ascending by distance (copies).
   std::vector<Neighbor> SortedNeighbors(std::size_t i) const;
 
-  /// Allocation-free variant: fills the caller's buffer instead. For hot
-  /// loops that fetch lists live from a mutating graph (streaming epochs).
+  /// Allocation-free variant: fills the caller's buffer instead.
   void SortedNeighborsInto(std::size_t i, std::vector<Neighbor>& out) const;
-
-  /// Flattened, distance-sorted neighbor ids truncated to `kappa` per node:
-  /// one cache-friendly row of length `kappa` per node, short lists padded
-  /// with UINT32_MAX. The export GK-means iterates over and serializers
-  /// walk — callers never touch the heap internals. Each node sorts into
-  /// its own row, so `pool`, when given, splits the nodes over its workers;
-  /// the array is the same at any pool size.
-  std::vector<std::uint32_t> FlattenNeighborIds(
-      std::size_t kappa, ThreadPool* pool = nullptr) const;
 
   /// Appends a node with an empty neighbor list; returns its id. The
   /// incremental-build entry point of the streaming subsystem.
   std::uint32_t AddNode();
 
-  /// Attempts to insert the directed edge i -> (j, dist). Self-loops are
-  /// rejected. Returns true when the list changed.
+  /// Makes room for `n` nodes, so AddNode grows no storage until then.
+  /// The streaming arena calls it when its point storage grows, keeping
+  /// both buffers on one growth schedule.
+  void Reserve(std::size_t n);
+
+  /// Attempts to insert the directed edge i -> (j, dist). Rejects a
+  /// self-loop, an id already in the list and, on a full list, a `dist`
+  /// not below the worst kept distance; a full list that accepts evicts
+  /// its largest entry by (dist, id). This is TopK::Push's rule, so a list
+  /// holds the set a TopK fed the same offers would. Returns true when the
+  /// list changed.
   bool Update(std::size_t i, std::uint32_t j, float dist);
 
   /// Attempts both directed edges between i and j. Returns the number of
@@ -78,8 +80,9 @@ class KnnGraph {
   /// node is tombstoned: its slot must stop referencing live nodes.
   void ClearList(std::size_t i);
 
-  /// Fills every list with `k` distinct random neighbors and their true
-  /// distances w.r.t. `data` (the random initialization of Alg. 3 line 4):
+  /// Fills every list of a graph without edges with `k` distinct random
+  /// neighbors and their true distances w.r.t. `data` (the random
+  /// initialization of Alg. 3 line 4):
   /// ScoreRandomCandidates(data, DrawRandomCandidates(rng)).
   void InitRandom(const Matrix& data, Rng& rng);
 
@@ -89,12 +92,15 @@ class KnnGraph {
   /// the distances are computed.
   std::vector<std::uint32_t> DrawRandomCandidates(Rng& rng) const;
 
-  /// The data half of InitRandom: pushes each node's first `k` candidates
-  /// other than itself, with their distances w.r.t. `data`, in row order.
+  /// The data half of InitRandom: each node's list becomes its first `k`
+  /// candidates other than itself, with their distances w.r.t. `data`.
+  /// Every list must be empty.
   void ScoreRandomCandidates(const Matrix& data,
                              const std::vector<std::uint32_t>& candidates);
 
-  /// Replaces node i's list. Intended for builders that stage updates.
+  /// Replaces node i's list with TopK::Push offers of `neighbors`, made in
+  /// order (a longer list keeps its k best). For builders that stage
+  /// updates.
   void SetList(std::size_t i, const std::vector<Neighbor>& neighbors);
 
   /// Binary serialization (for building once and reusing across benches).
@@ -116,8 +122,19 @@ class KnnGraph {
   static bool TryLoadFrom(io::Reader& r, KnnGraph* out);
 
  private:
+  /// TopK::Push's rule on row i: the offer without the self-loop check.
+  bool Offer(std::size_t i, std::uint32_t j, float dist);
+
+  Neighbor* Row(std::size_t i) {
+    GKM_DCHECK(i < sizes_.size());
+    return rows_.data() + i * k_;
+  }
+
   std::size_t k_ = 0;
-  std::vector<TopK> lists_;
+  // n rows of k slots each; the first sizes_[i] slots of row i hold node
+  // i's list, sorted by (dist, id).
+  std::vector<Neighbor> rows_;
+  std::vector<std::uint32_t> sizes_;
 };
 
 }  // namespace gkm

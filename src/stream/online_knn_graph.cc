@@ -178,7 +178,7 @@ const char* ValidateOnlineGraphRestoreParts(std::size_t rows, std::size_t cols,
   // reclaimed slots keep no in-edges (a stale edge into a reused slot
   // would silently score the wrong vector).
   for (std::size_t i = 0; i < n; ++i) {
-    const std::vector<Neighbor>& nbs = graph.NeighborsOf(i);
+    const std::span<const Neighbor> nbs = graph.NeighborsOf(i);
     if ((tomb[i] != 0 || freed[i] != 0) && !nbs.empty()) {
       return "tombstoned slot still has out-edges";
     }
@@ -594,12 +594,16 @@ std::uint32_t OnlineKnnGraph::CommitRow(const Matrix& rows, std::size_t r,
       points_.SetRow(id, x);
     }
   } else {
-    id = graph_.AddNode();
+    id = static_cast<std::uint32_t>(ArenaRowsLocked());
     if (sq8_trained_) {
       EncodeSlotLocked(id, x);
     } else {
       points_.AppendRow(x);
     }
+    // The graph's rows grow when the arena's storage does, to the same
+    // capacity, so AddNode never reallocates on a schedule of its own.
+    graph_.Reserve(ArenaCapacityLocked());
+    GKM_CHECK(graph_.AddNode() == id);
     dead_.push_back(0);
   }
   last_inserted_ = id;
@@ -954,7 +958,7 @@ void OnlineKnnGraph::PurgeTombstonesLocked() {
   std::vector<Neighbor> kept;
   for (std::size_t i = 0; i < n; ++i) {
     if (dead_[i]) continue;
-    const std::vector<Neighbor>& items = graph_.NeighborsOf(i);
+    const std::span<const Neighbor> items = graph_.NeighborsOf(i);
     bool stale = false;
     for (const Neighbor& nb : items) stale = stale || dead_[nb.id] != 0;
     if (!stale) continue;

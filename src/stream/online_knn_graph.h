@@ -479,6 +479,10 @@ class OnlineKnnGraph {
   std::size_t ArenaRowsLocked() const GKM_REQUIRES_SHARED(mu_) {
     return sq8_trained_ ? sq8_norms_.size() : points_.rows();
   }
+  /// Slots the arena holds before it must grow its storage.
+  std::size_t ArenaCapacityLocked() const GKM_REQUIRES_SHARED(mu_) {
+    return sq8_trained_ ? sq8_norms_.capacity() : points_.capacity();
+  }
 
   /// Decodes slot `id` into the next buffer of a thread_local ring (see
   /// PointPtr). Requires a trained SQ8 arena.

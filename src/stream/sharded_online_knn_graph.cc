@@ -130,6 +130,12 @@ void ShardedOnlineKnnGraph::SortedNeighborsInto(
   for (Neighbor& nb : out) nb.id = ToGlobal(id.shard, nb.id);
 }
 
+std::span<const Neighbor> ShardedOnlineKnnGraph::LocalNeighborsOf(
+    std::uint32_t g) const {
+  const GlobalId id = GlobalId::Split(g, shards_.size());
+  return shards_[id.shard].graph().NeighborsOf(id.slot);
+}
+
 void ShardedOnlineKnnGraph::AppendNeighborIds(
     std::uint32_t g, std::vector<std::uint32_t>& out) const {
   const GlobalId id = GlobalId::Split(g, shards_.size());

@@ -121,9 +121,10 @@ struct ShardRouter {
 /// field lives inside an OnlineKnnGraph shard under that shard's annotated
 /// SharedMutex, so the thread-safety analysis checks each shard
 /// independently. The Unsynchronized accessors below (Point,
-/// SortedNeighborsInto, AppendNeighborIds, IsAliveUnlocked) delegate to
-/// OnlineKnnGraph's audited AssertReaderHeld claims — ingest-thread or
-/// quiescent use only, exactly as documented there.
+/// SortedNeighborsInto, LocalNeighborsOf, AppendNeighborIds,
+/// IsAliveUnlocked) delegate to OnlineKnnGraph's audited AssertReaderHeld
+/// claims — ingest-thread or quiescent use only, exactly as documented
+/// there.
 class ShardedOnlineKnnGraph {
  public:
   /// Empty structure over `dim`-dimensional points with `params.shards`
@@ -170,12 +171,17 @@ class ShardedOnlineKnnGraph {
   /// (no-op for untrained / fp32 shards). Ingest-caller only.
   void RequantizeArena();
 
-  /// Neighbor list of `g` sorted ascending by distance, ids global.
-  /// Unsynchronized, like Point.
+  /// Neighbor list of `g` sorted ascending by distance, ids global
+  /// (copies). Unsynchronized, like Point.
   void SortedNeighborsInto(std::uint32_t g, std::vector<Neighbor>& out) const;
 
+  /// `g`'s neighbor row in place, sorted ascending by (dist, id), with ids
+  /// local to `g`'s shard (slot j is global id GlobalId::Join(shard, j)).
+  /// Unsynchronized, like Point; valid until that shard next changes.
+  std::span<const Neighbor> LocalNeighborsOf(std::uint32_t g) const;
+
   /// Appends the global ids of `g`'s current neighbors to `out`
-  /// (unsorted). Unsynchronized, like Point.
+  /// (nearest first). Unsynchronized, like Point.
   void AppendNeighborIds(std::uint32_t g, std::vector<std::uint32_t>& out)
       const;
 

@@ -18,7 +18,24 @@
 namespace gkm {
 namespace {
 
-constexpr std::uint32_t kUnassigned = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint32_t kUnassigned = kNoLabel;
+
+/// The labels of one shard's slots, indexed by slot: slot j of shard s is
+/// global id j·S + s (GlobalId::Join), so a shard-local graph row is
+/// harvested without translating its ids.
+struct ShardLabels {
+  const std::uint32_t* base;  // the label of global id `shard`
+  std::size_t stride;         // the shard count S
+  std::uint32_t operator[](std::uint32_t slot) const {
+    return base[slot * stride];
+  }
+};
+
+/// The labels of the slots of global id `g`'s shard.
+ShardLabels ShardLabelsOf(const std::vector<std::uint32_t>& labels,
+                          std::uint32_t g, std::size_t num_shards) {
+  return {labels.data() + GlobalId::Split(g, num_shards).shard, num_shards};
+}
 
 // Both constructors funnel through this: params restored from a checkpoint
 // are as untrusted as caller-supplied ones.
@@ -465,14 +482,13 @@ void StreamingGkMeans::AssignNew(std::uint32_t id, const Matrix& centroids) {
   const float xn = NormSqr(x, dim());
   const std::size_t kappa = std::min(params_.kappa, params_.graph.kappa);
 
-  graph_.SortedNeighborsInto(id, nbr_scratch_);
-  const std::size_t take = std::min(kappa, nbr_scratch_.size());
-  nbr_ids_.assign(kappa, kUnassigned);
-  for (std::size_t j = 0; j < take; ++j) nbr_ids_[j] = nbr_scratch_[j].id;
-  // skip = kUnassigned keeps same-window not-yet-assigned neighbors out.
+  // The κ nearest neighbors, labeled or not: same-window not-yet-assigned
+  // ones are among them but contribute no candidate.
+  const std::span<const Neighbor> row = graph_.LocalNeighborsOf(id);
   ++cur_stamp_;
-  HarvestCandidates(nbr_ids_.data(), kappa, labels_, kUnassigned, stamp_,
-                    cur_stamp_, cand_);
+  HarvestCandidates(row.first(std::min(kappa, row.size())), kappa,
+                    ShardLabelsOf(labels_, id, graph_.num_shards()),
+                    kUnassigned, stamp_, cur_stamp_, cand_);
   std::uint32_t best =
       BestArrival(state_, x, xn, cand_, kUnassigned, gain_scratch_).cluster;
   if (best == kUnassigned) {
@@ -489,7 +505,6 @@ std::size_t StreamingGkMeans::RunEpochs(const std::vector<std::uint32_t>& ids,
   const std::size_t d = dim();
   const std::size_t kappa = std::min(params_.kappa, params_.graph.kappa);
   std::vector<std::uint32_t> order(ids);
-  std::vector<std::uint32_t> nbr(kappa);
 
   std::size_t total_moves = 0;
   for (std::size_t e = 0; e < epochs; ++e) {
@@ -501,22 +516,13 @@ std::size_t StreamingGkMeans::RunEpochs(const std::vector<std::uint32_t>& ids,
       // pass) own no composite statistics — skip before indexing by label.
       if (u == kUnassigned) continue;
       if (state_.CountOf(u) < 2) continue;
-      // The graph mutates between windows, so neighbor rows are fetched
-      // live rather than flattened once as in the batch algorithm (into a
-      // reused buffer — this runs once per visited sample per epoch).
-      graph_.SortedNeighborsInto(i, nbr_scratch_);
-      const std::vector<Neighbor>& sorted = nbr_scratch_;
-      // Unlabeled neighbors (stale edges to tombstones awaiting the purge
-      // sweep, or same-window inserts) contribute no candidate cluster.
-      std::size_t take = 0;
-      for (std::size_t j = 0; j < sorted.size() && take < kappa; ++j) {
-        if (labels_[sorted[j].id] == kUnassigned) continue;
-        nbr[take++] = sorted[j].id;
-      }
-      for (std::size_t j = take; j < kappa; ++j) nbr[j] = kUnassigned;
+      // The first κ labeled neighbors, read from the sorted graph row in
+      // place: unlabeled ones (stale edges to tombstones awaiting the purge
+      // sweep, or same-window inserts) are passed over uncounted.
       ++cur_stamp_;
-      HarvestCandidates(nbr.data(), kappa, labels_, u, stamp_, cur_stamp_,
-                        cand_);
+      HarvestCandidates(graph_.LocalNeighborsOf(i), kappa,
+                        ShardLabelsOf(labels_, i, graph_.num_shards()), u,
+                        stamp_, cur_stamp_, cand_);
       if (cand_.empty()) continue;
       const float* x = graph_.Point(i);
       const float xn = NormSqr(x, d);

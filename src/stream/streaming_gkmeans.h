@@ -347,13 +347,10 @@ class StreamingGkMeans {
   std::uint64_t windows_ = 0;
   bool bootstrapped_ = false;
   std::deque<WindowStats> history_;  // bounded ring: O(1) trim per window
-  // Epoch-stamped scratch for candidate harvesting, plus a reused buffer
-  // for live sorted-neighbor fetches in the epoch hot path.
+  // Epoch-stamped scratch for candidate harvesting.
   std::vector<std::uint32_t> stamp_;
   std::uint32_t cur_stamp_ = 0;
   std::vector<std::uint32_t> cand_;
-  std::vector<Neighbor> nbr_scratch_;
-  std::vector<std::uint32_t> nbr_ids_;
   std::vector<double> gain_scratch_;  // batched GainArrive results
   // Per-window SQ8 route-hint table (kSq8 mode, rebuilt each window from
   // the centroid snapshot): quantizer + packed centroid codes/norms.

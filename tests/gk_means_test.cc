@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "common/distance.h"
 #include "common/thread_pool.h"
@@ -176,30 +178,57 @@ TEST(GkMeansTest, DeterministicForSeed) {
             GkMeansWithGraph(data.vectors, graph, p).assignments);
 }
 
+// The harvest reads the first κ labeled neighbors of a sorted row: an
+// unlabeled one (a stream's tombstone or same-window insert) is passed over
+// and not counted, a repeated cluster is counted but listed once, and the
+// skipped cluster is counted but not listed.
+TEST(HarvestCandidatesTest, CountsTheFirstKappaLabeledNeighbors) {
+  const std::vector<std::uint32_t> labels = {0, kNoLabel, 1, 1, kNoLabel, 2};
+  const std::vector<Neighbor> row = {
+      {1, 0.5f}, {0, 1.0f}, {4, 1.5f}, {2, 2.0f}, {3, 2.5f}, {5, 3.0f}};
+  std::vector<std::uint32_t> stamp(3, 0);
+  std::vector<std::uint32_t> cand;
+  HarvestCandidates(row, 3, labels, 9, stamp, 1, cand);
+  EXPECT_EQ(cand, (std::vector<std::uint32_t>{0, 1}));
+  HarvestCandidates(row, 4, labels, 9, stamp, 2, cand);
+  EXPECT_EQ(cand, (std::vector<std::uint32_t>{0, 1, 2}));
+  HarvestCandidates(row, 3, labels, 0, stamp, 3, cand);
+  EXPECT_EQ(cand, (std::vector<std::uint32_t>{1}));
+  HarvestCandidates(std::span<const Neighbor>(row).first(3), 3, labels, 9,
+                    stamp, 4, cand);
+  EXPECT_EQ(cand, (std::vector<std::uint32_t>{0}));
+}
+
 std::uint64_t Bits(double v) {
   std::uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
   return bits;
 }
 
-// The serial BKM loop of Alg. 2 — one HarvestCandidates + DeltaIStep per
-// point, in shuffled order — kept as the reference the blocked epochs of
-// GkMeansWithGraph must reproduce bit for bit. Fills labels, distortion
-// and the per-epoch trace (elapsed time left at 0).
+// The serial BKM loop of Alg. 2 — one harvest + DeltaIStep per point, in
+// shuffled order — kept as the reference the blocked epochs of
+// GkMeansWithGraph must reproduce bit for bit. It harvests from its own
+// copy of each node's first κ neighbor ids, taken from SortedNeighbors,
+// not from the graph rows the library reads in place. Fills labels,
+// distortion and the per-epoch trace (elapsed time left at 0).
 ClusteringResult ReferenceBkm(const Matrix& data, const KnnGraph& graph,
                               const GkMeansParams& params, GkStart start) {
   const std::size_t n = data.rows();
   const std::size_t kappa = std::min(params.kappa, graph.k());
-  const std::vector<std::uint32_t> flat =
-      graph.FlattenNeighborIds(kappa, nullptr);
+  std::vector<std::vector<std::uint32_t>> ids(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const Neighbor& nb : graph.SortedNeighbors(i)) {
+      if (ids[i].size() == kappa) break;
+      ids[i].push_back(nb.id);
+    }
+  }
   std::vector<std::uint32_t>& labels = start.labels;
   ClusterState state(data, labels, params.k);
   std::vector<float> norms(n);
   RowNormsSqr(data, norms.data());
   std::vector<std::uint32_t> order(n);
   for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
-  std::vector<std::uint32_t> stamp(params.k, 0);
-  std::uint32_t cur_stamp = 0;
+  std::vector<bool> seen(params.k);
   std::vector<std::uint32_t> cand;
   std::vector<double> gains;
   ClusteringResult res;
@@ -209,9 +238,15 @@ ClusteringResult ReferenceBkm(const Matrix& data, const KnnGraph& graph,
     for (const std::uint32_t i : order) {
       const std::uint32_t u = labels[i];
       if (state.CountOf(u) < 2) continue;
-      ++cur_stamp;
-      HarvestCandidates(flat.data() + static_cast<std::size_t>(i) * kappa,
-                        kappa, labels, u, stamp, cur_stamp, cand);
+      // The distinct clusters of the neighbors other than u, nearest first.
+      cand.clear();
+      for (const std::uint32_t nb : ids[i]) {
+        const std::uint32_t c = labels[nb];
+        if (c == u || seen[c]) continue;
+        seen[c] = true;
+        cand.push_back(c);
+      }
+      for (const std::uint32_t c : cand) seen[c] = false;
       if (cand.empty()) continue;
       const std::uint32_t v =
           DeltaIStep(state, data.Row(i), norms[i], u, cand, gains);
@@ -319,6 +354,28 @@ TEST(GkMeansBlockedTest, MatchesSerialLoopWhenMostProposalsGoStale) {
   ClusteringResult counts;
   ExpectBlockedMatchesReference(data.vectors, graph, p, &counts);
   EXPECT_GT(counts.proposals_recomputed, counts.proposals_committed);
+}
+
+// Epochs consult only the first κ < graph.k() entries of each row, and a
+// cleared row harvests nothing, so its point never moves.
+TEST(GkMeansBlockedTest, MatchesSerialLoopWithShortKappaAndAnEmptyRow) {
+  SyntheticSpec spec;
+  spec.n = 1200;
+  spec.dim = 12;
+  spec.modes = 8;
+  spec.seed = 211;
+  const SyntheticData data = MakeGaussianMixture(spec);
+  KnnGraph graph = BruteForceGraph(data.vectors, 12);
+  constexpr std::size_t kCleared = 37;
+  graph.ClearList(kCleared);
+  GkMeansParams p;
+  p.k = 24;
+  p.kappa = 5;
+  p.seed = 8;
+  ClusteringResult counts;
+  ExpectBlockedMatchesReference(data.vectors, graph, p, &counts);
+  const GkStart start = MakeGkStart(data.vectors, p);
+  EXPECT_EQ(counts.assignments[kCleared], start.labels[kCleared]);
 }
 
 }  // namespace

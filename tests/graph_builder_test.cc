@@ -205,7 +205,8 @@ TEST(GraphBuilderTest, RoundsAreEqualAtEveryThreadCount) {
   struct Run {
     GraphBuildStats stats;
     std::vector<std::size_t> rounds;
-    std::vector<std::vector<std::uint32_t>> flats;  // per observed round
+    // Per observed round, every node's list.
+    std::vector<std::vector<std::vector<Neighbor>>> lists;
   };
   const auto build = [&](std::size_t threads) {
     p.threads = threads;
@@ -213,7 +214,11 @@ TEST(GraphBuilderTest, RoundsAreEqualAtEveryThreadCount) {
     BuildKnnGraph(data.vectors, p, &run.stats,
                   [&run](std::size_t round, const KnnGraph& g) {
                     run.rounds.push_back(round);
-                    run.flats.push_back(g.FlattenNeighborIds(g.k()));
+                    std::vector<std::vector<Neighbor>>& seen =
+                        run.lists.emplace_back();
+                    for (std::size_t i = 0; i < g.num_nodes(); ++i) {
+                      seen.push_back(g.SortedNeighbors(i));
+                    }
                   });
     return run;
   };
@@ -223,7 +228,7 @@ TEST(GraphBuilderTest, RoundsAreEqualAtEveryThreadCount) {
     SCOPED_TRACE(threads);
     const Run got = build(threads);
     EXPECT_EQ(got.rounds, want.rounds);
-    EXPECT_EQ(got.flats, want.flats);
+    EXPECT_EQ(got.lists, want.lists);
     EXPECT_EQ(got.stats.round_updates, want.stats.round_updates);
     EXPECT_EQ(got.stats.round_distortion, want.stats.round_distortion);
   }

@@ -1,6 +1,6 @@
 // Copyright 2026 The gkmeans Authors.
-// Tests for the KnnGraph container: update semantics, random init
-// contract, serialization.
+// Tests for the KnnGraph container: update semantics (against TopK as the
+// reference), random init contract, serialization.
 
 #include "graph/knn_graph.h"
 
@@ -8,11 +8,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <set>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/distance.h"
-#include "common/thread_pool.h"
+#include "common/top_k.h"
 #include "dataset/synthetic.h"
 
 namespace gkm {
@@ -119,19 +121,110 @@ TEST(KnnGraphTest, InitRandomListsArePinned) {
   EXPECT_EQ(next, 0x7453acfd6257238eULL);
 }
 
-// Each node sorts into its own row, so the flat array is the same at any
-// pool size, including uneven splits of the nodes.
-TEST(KnnGraphTest, FlattenOnAPoolEqualsSerial) {
-  const SyntheticData data = MakeGaussianMixture({.n = 301, .dim = 6, .modes = 5});
-  KnnGraph g(301, 9);
-  Rng rng(5);
-  g.InitRandom(data.vectors, rng);
-  g.ClearList(17);  // one short row, padded
-  const std::vector<std::uint32_t> want = g.FlattenNeighborIds(7);
-  for (const std::size_t threads : {1, 2, 3, 4}) {
-    ThreadPool pool(threads);
-    EXPECT_EQ(g.FlattenNeighborIds(7, &pool), want) << threads;
+// Checks every row of `g` against the TopK fed the same offers: sorted
+// strictly by (dist, id), and equal to TopK::TakeSorted of the reference.
+void ExpectRowsMatch(const KnnGraph& g, const std::vector<TopK>& ref) {
+  ASSERT_EQ(g.num_nodes(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    const std::span<const Neighbor> row = g.NeighborsOf(i);
+    for (std::size_t j = 1; j < row.size(); ++j) {
+      ASSERT_TRUE(row[j - 1] < row[j]) << "row " << i << " slot " << j;
+    }
+    TopK copy = ref[i];
+    ASSERT_EQ(std::vector<Neighbor>(row.begin(), row.end()), copy.TakeSorted())
+        << "row " << i;
   }
+}
+
+// Random op streams against a TopK per row as the reference. Distances sit
+// on a coarse integer grid and ids on a few nodes, so exact distance ties,
+// duplicate and self offers are common; every op kind runs, SetList with
+// lists longer than k and AddNode growth included.
+TEST(KnnGraphTest, RowsEqualTopKUnderRandomOps) {
+  constexpr std::size_t kK = 4;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    KnnGraph g(6, kK);
+    std::vector<TopK> ref(6, TopK(kK));
+    const auto node = [&] { return rng.Index(g.num_nodes()); };
+    const auto id = [&] { return static_cast<std::uint32_t>(node()); };
+    const auto dist = [&] { return static_cast<float>(rng.Index(5)); };
+    for (int op = 0; op < 300; ++op) {
+      const std::size_t i = node();
+      switch (rng.Index(8)) {
+        case 0:
+        case 1:
+        case 2: {
+          const std::uint32_t j = id();
+          const float dj = dist();
+          const bool want = i != j && ref[i].Push(j, dj);
+          ASSERT_EQ(g.Update(i, j, dj), want);
+          break;
+        }
+        case 3: {
+          const std::size_t j = node();
+          const float dj = dist();
+          int want = 0;
+          if (i != j) {
+            want += ref[i].Push(static_cast<std::uint32_t>(j), dj) ? 1 : 0;
+            want += ref[j].Push(static_cast<std::uint32_t>(i), dj) ? 1 : 0;
+          }
+          ASSERT_EQ(g.UpdateBoth(i, j, dj), want);
+          break;
+        }
+        case 4: {
+          // The reference drops j by rebuilding the list without it.
+          const std::uint32_t j = id();
+          TopK rest(kK);
+          for (const Neighbor& nb : ref[i].items()) {
+            if (nb.id != j) rest.Push(nb.id, nb.dist);
+          }
+          const bool want = rest.size() < ref[i].size();
+          ref[i] = rest;
+          ASSERT_EQ(g.RemoveNeighbor(i, j), want);
+          break;
+        }
+        case 5:
+          g.ClearList(i);
+          ref[i] = TopK(kK);
+          break;
+        case 6: {
+          std::vector<Neighbor> list(rng.Index(2 * kK + 1));
+          for (Neighbor& nb : list) nb = {id(), dist()};
+          g.SetList(i, list);
+          ref[i] = TopK(kK);
+          for (const Neighbor& nb : list) ref[i].Push(nb.id, nb.dist);
+          break;
+        }
+        default:
+          if (g.num_nodes() < 24) {
+            ASSERT_EQ(g.AddNode(), ref.size());
+            ref.emplace_back(kK);
+          }
+          break;
+      }
+      ASSERT_NO_FATAL_FAILURE(ExpectRowsMatch(g, ref)) << "op " << op;
+    }
+  }
+}
+
+// A row is read in place: the span aliases the graph's storage and follows
+// its changes, nearest first.
+TEST(KnnGraphTest, NeighborsOfIsTheSortedRowInPlace) {
+  KnnGraph g(5, 3);
+  g.Update(0, 4, 2.0f);
+  g.Update(0, 2, 1.0f);
+  g.Update(0, 3, 1.0f);
+  const std::span<const Neighbor> row = g.NeighborsOf(0);
+  ASSERT_EQ(row.size(), 3u);
+  EXPECT_EQ(row[0], (Neighbor{2, 1.0f}));
+  EXPECT_EQ(row[1], (Neighbor{3, 1.0f}));
+  EXPECT_EQ(row[2], (Neighbor{4, 2.0f}));
+  g.Update(0, 1, 1.0f);  // full: evicts (4, 2.0)
+  EXPECT_EQ(g.NeighborsOf(0).data(), row.data());
+  EXPECT_EQ(row[0], (Neighbor{1, 1.0f}));
+  EXPECT_EQ(g.NeighborsOf(0).back(), (Neighbor{3, 1.0f}));
 }
 
 TEST(KnnGraphTest, SetListTruncatesToCapacity) {

@@ -149,8 +149,8 @@ constexpr std::uint64_t kGoldenLabelsHash = 0x822088c519f5e6c4ULL;
 constexpr std::uint64_t kGoldenDistortionBits = 0x40b002aa51d9199aULL;
 
 // Threads the pins must hold at: 1 runs every phase inline, in round
-// order; more build the trees ahead on one pool and run the joins and
-// graph flattens on another. 3 splits clusters and nodes unevenly.
+// order; more build the trees ahead on one pool and run the joins on
+// another. 3 splits clusters and nodes unevenly.
 constexpr std::size_t kThreadCounts[] = {1, 2, 3, 4};
 
 TEST(BatchGolden, PipelineBytesAreBitStable) {
