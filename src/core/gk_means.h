@@ -55,12 +55,10 @@ GkStart MakeGkStart(const Matrix& data, const GkMeansParams& params);
 /// from `graph`. `graph` must span exactly data.rows() nodes. The graph's
 /// out-degree may exceed `kappa`; only the `kappa` closest neighbors are
 /// consulted, read in place from the graph's sorted rows. `params.seed` is
-/// not read: the start carries the randomness. `pool`, when given, computes
-/// the Δ-I decisions of every epoch after the first in blocks on it, which
-/// the calling thread commits in order, recomputing any decision whose
-/// clusters changed earlier in its block. Labels, distortion, trace and
-/// work counts are the same at any pool size, and labels, distortion and
-/// trace equal those of the pool-less, one-point-at-a-time run.
+/// not read: the start carries the randomness. `pool`, when given, runs
+/// every epoch after the first in DeltaIEpochs' blocks
+/// (core/candidate_harvest.h): labels, distortion and trace equal the
+/// pool-less run's, and work counts are the same at any pool size.
 ClusteringResult GkMeansWithGraph(const Matrix& data, const KnnGraph& graph,
                                   const GkMeansParams& params, GkStart start,
                                   ThreadPool* pool = nullptr);

@@ -23,6 +23,14 @@ struct IterStat {
   std::size_t moves = 0;       ///< samples that changed cluster this iteration
 };
 
+/// GK-means' Δ-I work counts: each visit of a labeled point is one of the
+/// three, and each is exact for a fixed input at any pool size (≥ 1 worker).
+struct DeltaIWork {
+  std::size_t cached_stays = 0;          ///< stays reused, nothing scored
+  std::size_t proposals_committed = 0;   ///< decisions committed as computed
+  std::size_t proposals_recomputed = 0;  ///< decisions gone stale, redone
+};
+
 /// Output of a clustering run.
 struct ClusteringResult {
   std::vector<std::uint32_t> assignments;  ///< cluster id per input row
@@ -34,12 +42,7 @@ struct ClusteringResult {
   double total_seconds = 0.0;              ///< init + iter
   std::vector<IterStat> trace;             ///< per-iteration series
   std::string method;                      ///< identifier for reports
-  /// GK-means BKM work counts (zero for every other method). Each Δ-I
-  /// visit is exactly one of the three, and all three are exact for a
-  /// fixed input: they do not depend on the pool's size (≥ 1 worker).
-  std::size_t cached_stays = 0;          ///< stays reused, nothing scored
-  std::size_t proposals_committed = 0;   ///< decisions committed as computed
-  std::size_t proposals_recomputed = 0;  ///< decisions gone stale, redone
+  DeltaIWork work;  ///< GK-means BKM only; zero for every other method
 };
 
 }  // namespace gkm

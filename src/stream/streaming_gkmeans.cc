@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "common/distance.h"
 #include "common/kernels.h"
@@ -20,22 +21,29 @@ namespace {
 
 constexpr std::uint32_t kUnassigned = kNoLabel;
 
-/// The labels of one shard's slots, indexed by slot: slot j of shard s is
-/// global id j·S + s (GlobalId::Join), so a shard-local graph row is
-/// harvested without translating its ids.
-struct ShardLabels {
-  const std::uint32_t* base;  // the label of global id `shard`
-  std::size_t stride;         // the shard count S
-  std::uint32_t operator[](std::uint32_t slot) const {
-    return base[slot * stride];
-  }
-};
+/// The stream as DeltaIEpochs and AssignNew read it: arena rows (decoded
+/// into a thread-local ring in SQ8 mode), shard-local graph rows read in
+/// place through their shard's strided labels, and the cluster
+/// representatives each move refreshes.
+struct StreamView {
+  const ShardedOnlineKnnGraph& graph;
+  const std::vector<std::uint32_t>& labels;
+  std::vector<std::uint32_t>& reps;
 
-/// The labels of the slots of global id `g`'s shard.
-ShardLabels ShardLabelsOf(const std::vector<std::uint32_t>& labels,
-                          std::uint32_t g, std::size_t num_shards) {
-  return {labels.data() + GlobalId::Split(g, num_shards).shard, num_shards};
-}
+  std::pair<const float*, float> Point(std::uint32_t i) const {
+    const float* x = graph.Point(i);
+    return {x, NormSqr(x, graph.dim())};
+  }
+  std::span<const Neighbor> Neighbors(std::uint32_t i) const {
+    return graph.LocalNeighborsOf(i);
+  }
+  StridedLabels HarvestLabels(std::uint32_t i) const {
+    const std::size_t S = graph.num_shards();
+    return {labels.data() + GlobalId::Split(i, S).shard, S};
+  }
+  void OnMove(std::uint32_t i, std::uint32_t v) { reps[v] = i; }
+  void Prefetch(std::uint32_t) const {}
+};
 
 // Both constructors funnel through this: params restored from a checkpoint
 // are as untrusted as caller-supplied ones.
@@ -478,17 +486,17 @@ void StreamingGkMeans::ComputeRouteHints(const float* x,
 }
 
 void StreamingGkMeans::AssignNew(std::uint32_t id, const Matrix& centroids) {
-  const float* x = graph_.Point(id);
-  const float xn = NormSqr(x, dim());
+  const StreamView view{graph_, labels_, cluster_reps_};
+  const auto [x, xn] = view.Point(id);
   const std::size_t kappa = std::min(params_.kappa, params_.graph.kappa);
 
   // The κ nearest neighbors, labeled or not: same-window not-yet-assigned
   // ones are among them but contribute no candidate.
-  const std::span<const Neighbor> row = graph_.LocalNeighborsOf(id);
+  const std::span<const Neighbor> row = view.Neighbors(id);
   ++cur_stamp_;
   HarvestCandidates(row.first(std::min(kappa, row.size())), kappa,
-                    ShardLabelsOf(labels_, id, graph_.num_shards()),
-                    kUnassigned, stamp_, cur_stamp_, cand_);
+                    view.HarvestLabels(id), kUnassigned, stamp_, cur_stamp_,
+                    cand_);
   std::uint32_t best =
       BestArrival(state_, x, xn, cand_, kUnassigned, gain_scratch_).cluster;
   if (best == kUnassigned) {
@@ -502,40 +510,16 @@ void StreamingGkMeans::AssignNew(std::uint32_t id, const Matrix& centroids) {
 std::size_t StreamingGkMeans::RunEpochs(const std::vector<std::uint32_t>& ids,
                                         std::size_t epochs,
                                         std::size_t* epochs_run) {
-  const std::size_t d = dim();
-  const std::size_t kappa = std::min(params_.kappa, params_.graph.kappa);
+  // Inline, with no pool: a block of a window's epoch is too little work
+  // to pay for a fork/join.
+  DeltaIEpochs<StreamView> driver({graph_, labels_, cluster_reps_},
+                                  std::min(params_.kappa, params_.graph.kappa),
+                                  nullptr, state_, labels_, stay_cache_);
   std::vector<std::uint32_t> order(ids);
-
   std::size_t total_moves = 0;
   for (std::size_t e = 0; e < epochs; ++e) {
     rng_.Shuffle(order);
-    std::size_t moves = 0;
-    for (const std::uint32_t i : order) {
-      const std::uint32_t u = labels_[i];
-      // Tombstoned slots (and same-window unassigned ids a caller might
-      // pass) own no composite statistics — skip before indexing by label.
-      if (u == kUnassigned) continue;
-      if (state_.CountOf(u) < 2) continue;
-      // The first κ labeled neighbors, read from the sorted graph row in
-      // place: unlabeled ones (stale edges to tombstones awaiting the purge
-      // sweep, or same-window inserts) are passed over uncounted.
-      ++cur_stamp_;
-      HarvestCandidates(graph_.LocalNeighborsOf(i), kappa,
-                        ShardLabelsOf(labels_, i, graph_.num_shards()), u,
-                        stamp_, cur_stamp_, cand_);
-      if (cand_.empty()) continue;
-      const float* x = graph_.Point(i);
-      const float xn = NormSqr(x, d);
-      // One batched mixed-precision dot over the candidate composites
-      // (bit-identical to per-candidate GainArrive — checkpoint replay
-      // and the golden test depend on that).
-      const std::uint32_t v = DeltaIStep(state_, x, xn, u, cand_, gain_scratch_);
-      if (v != u) {
-        labels_[i] = v;
-        cluster_reps_[v] = i;
-        ++moves;
-      }
-    }
+    const std::size_t moves = driver.Run(order, true);
     total_moves += moves;
     if (epochs_run != nullptr) ++*epochs_run;
     if (moves == 0) break;

@@ -25,6 +25,7 @@
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/candidate_harvest.h"
 #include "kmeans/cluster_state.h"
 #include "kmeans/types.h"
 #include "stream/sharded_online_knn_graph.h"
@@ -268,7 +269,7 @@ class StreamingGkMeans {
   /// Batch initialization once bootstrap_min points have accumulated.
   void Bootstrap();
 
-  /// `epochs` shuffled Delta-I passes over `ids`; returns moves made.
+  /// `epochs` shuffled DeltaIEpochs passes over `ids`; returns moves made.
   std::size_t RunEpochs(const std::vector<std::uint32_t>& ids,
                         std::size_t epochs, std::size_t* epochs_run);
 
@@ -352,6 +353,9 @@ class StreamingGkMeans {
   std::uint32_t cur_stamp_ = 0;
   std::vector<std::uint32_t> cand_;
   std::vector<double> gain_scratch_;  // batched GainArrive results
+  // RunEpochs' stay cache, kept across calls so none pays an O(n) fill.
+  // Never checkpointed: each call reads what earlier calls stored as stale.
+  DeltaIStayCache stay_cache_;
   // Per-window SQ8 route-hint table (kSq8 mode, rebuilt each window from
   // the centroid snapshot): quantizer + packed centroid codes/norms.
   // Ephemeral routing state — never checkpointed.

@@ -2,7 +2,8 @@
 // Tests for GK-means (Alg. 2): contract, monotone objective in BKM mode,
 // quality close to full BKM when the graph is exact, degradation to the
 // init when the graph is useless, the GK-means⁻ variant, and the blocked
-// multi-core epochs against the serial BKM loop they must reproduce.
+// multi-core epochs — batch-shaped and stream-shaped — against the serial
+// loops they must reproduce.
 
 #include "core/gk_means.h"
 
@@ -10,6 +11,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -123,6 +125,57 @@ TEST(GkMeansTest, BkmModeBeatsTraditionalMode) {
   EXPECT_LT(bkm_total, trad_total);
 }
 
+// Ten well-separated modes, clustered with k = 20 over an exact κ = 10
+// graph: the GK-means⁻ fixture.
+struct TraditionalFixture {
+  SyntheticData data;
+  KnnGraph graph;
+  GkMeansParams params;
+};
+
+TraditionalFixture MakeTraditionalFixture() {
+  SyntheticSpec spec;
+  spec.n = 2000;
+  spec.dim = 8;
+  spec.modes = 10;
+  spec.seed = 3;
+  TraditionalFixture f{MakeGaussianMixture(spec), {}, {}};
+  f.graph = BruteForceGraph(f.data.vectors, 10);
+  f.params.k = 20;
+  f.params.kappa = 10;
+  f.params.max_iters = 30;
+  f.params.seed = 3;
+  f.params.traditional = true;
+  return f;
+}
+
+// GK-means⁻ sends each point to the nearest centroid among its own cluster
+// and its neighbors' clusters, then recomputes the centroids. Both halves
+// are Lloyd steps over a candidate set that includes the current cluster,
+// so no iteration raises the distortion.
+TEST(GkMeansTest, TraditionalModeDistortionNeverRises) {
+  const TraditionalFixture f = MakeTraditionalFixture();
+  const ClusteringResult res =
+      GkMeansWithGraph(f.data.vectors, f.graph, f.params);
+  ASSERT_GE(res.trace.size(), 2u);
+  for (std::size_t i = 1; i < res.trace.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_LE(res.trace[i].distortion,
+              res.trace[i - 1].distortion * (1.0 + 1e-9));
+  }
+}
+
+// A point stays when its own centroid is nearest, so on well-separated
+// modes the moves run out before max_iters.
+TEST(GkMeansTest, TraditionalModeConvergesBeforeMaxIters) {
+  const TraditionalFixture f = MakeTraditionalFixture();
+  const ClusteringResult res =
+      GkMeansWithGraph(f.data.vectors, f.graph, f.params);
+  EXPECT_LT(res.iterations, f.params.max_iters);
+  ASSERT_FALSE(res.trace.empty());
+  EXPECT_EQ(res.trace.back().moves, 0u);
+}
+
 TEST(GkMeansTest, HonorsStartLabels) {
   const SyntheticData data = SmallData(100, 105);
   const KnnGraph graph = BruteForceGraph(data.vectors, 5);
@@ -203,6 +256,17 @@ std::uint64_t Bits(double v) {
   std::uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
   return bits;
+}
+
+// One Delta-I move step of the serial reference loops: DeltaIDecide, then
+// the move it chose. Returns the cluster `x` ends in.
+std::uint32_t DeltaIStep(ClusterState& state, const float* x, float xn,
+                         std::uint32_t u,
+                         const std::vector<std::uint32_t>& cand,
+                         std::vector<double>& gains) {
+  const std::uint32_t v = DeltaIDecide(state, x, xn, u, cand, gains);
+  if (v != u) state.Move(x, u, v);
+  return v;
 }
 
 // The serial BKM loop of Alg. 2 — one harvest + DeltaIStep per point, in
@@ -290,7 +354,7 @@ void ExpectBlockedMatchesReference(const Matrix& data, const KnnGraph& graph,
     const ClusteringResult got =
         GkMeansWithGraph(data, graph, params, start, nullptr);
     ExpectSameRun(got, want);
-    EXPECT_EQ(got.proposals_recomputed, 0u);
+    EXPECT_EQ(got.work.proposals_recomputed, 0u);
   }
   ClusteringResult& first = *counts;
   for (std::size_t workers = 1; workers <= 4; ++workers) {
@@ -299,22 +363,22 @@ void ExpectBlockedMatchesReference(const Matrix& data, const KnnGraph& graph,
     const ClusteringResult got =
         GkMeansWithGraph(data, graph, params, start, &pool);
     ExpectSameRun(got, want);
-    EXPECT_EQ(got.cached_stays + got.proposals_committed +
-                  got.proposals_recomputed,
+    EXPECT_EQ(got.work.cached_stays + got.work.proposals_committed +
+                  got.work.proposals_recomputed,
               data.rows() * got.iterations);
     if (workers == 1) {
       first = got;
       continue;
     }
-    EXPECT_EQ(got.cached_stays, first.cached_stays);
-    EXPECT_EQ(got.proposals_committed, first.proposals_committed);
-    EXPECT_EQ(got.proposals_recomputed, first.proposals_recomputed);
+    EXPECT_EQ(got.work.cached_stays, first.work.cached_stays);
+    EXPECT_EQ(got.work.proposals_committed, first.work.proposals_committed);
+    EXPECT_EQ(got.work.proposals_recomputed, first.work.proposals_recomputed);
   }
   // Each path of the commit ran, so the match above is not the inline
   // path alone.
-  EXPECT_GT(first.cached_stays, 0u);
-  EXPECT_GT(first.proposals_committed, 0u);
-  EXPECT_GT(first.proposals_recomputed, 0u);
+  EXPECT_GT(first.work.cached_stays, 0u);
+  EXPECT_GT(first.work.proposals_committed, 0u);
+  EXPECT_GT(first.work.proposals_recomputed, 0u);
 }
 
 // The batch golden's input, graph and final clustering parameters
@@ -353,7 +417,7 @@ TEST(GkMeansBlockedTest, MatchesSerialLoopWhenMostProposalsGoStale) {
   p.seed = 5;
   ClusteringResult counts;
   ExpectBlockedMatchesReference(data.vectors, graph, p, &counts);
-  EXPECT_GT(counts.proposals_recomputed, counts.proposals_committed);
+  EXPECT_GT(counts.work.proposals_recomputed, counts.work.proposals_committed);
 }
 
 // Epochs consult only the first κ < graph.k() entries of each row, and a
@@ -376,6 +440,252 @@ TEST(GkMeansBlockedTest, MatchesSerialLoopWithShortKappaAndAnEmptyRow) {
   ExpectBlockedMatchesReference(data.vectors, graph, p, &counts);
   const GkStart start = MakeGkStart(data.vectors, p);
   EXPECT_EQ(counts.assignments[kCleared], start.labels[kCleared]);
+}
+
+// --- The driver over a stream-shaped view. ---
+
+constexpr std::size_t kShards = 4;
+
+// A stream-shaped epoch input: points indexed by global id, one graph per
+// shard whose rows hold shard-local slot ids, labels with kNoLabel points
+// among them (so also among graph neighbors), and a visit list that skips
+// some ids and includes unlabeled ones.
+struct ShardedFixture {
+  Matrix data;
+  std::vector<float> norms;
+  std::vector<KnnGraph> shards;
+  std::vector<std::uint32_t> labels;
+  std::vector<std::uint32_t> visits;
+  std::size_t k = 30;
+  std::size_t kappa = 6;
+};
+
+ShardedFixture MakeShardedFixture() {
+  SyntheticSpec spec;
+  spec.n = 1600;
+  spec.dim = 8;
+  spec.modes = 12;
+  spec.seed = 307;
+  ShardedFixture f;
+  f.data = MakeGaussianMixture(spec).vectors;
+  const std::size_t n = f.data.rows();
+  f.norms.resize(n);
+  RowNormsSqr(f.data, f.norms.data());
+  for (std::size_t s = 0; s < kShards; ++s) {
+    Matrix part(n / kShards, f.data.cols());
+    for (std::size_t j = 0; j < part.rows(); ++j) {
+      part.SetRow(j, f.data.Row(j * kShards + s));
+    }
+    f.shards.push_back(BruteForceGraph(part, 10));
+  }
+  GkMeansParams p;
+  p.k = f.k;
+  p.seed = 41;
+  f.labels = MakeGkStart(f.data, p).labels;
+  for (std::size_t i = 0; i < n; i += 11) f.labels[i] = kNoLabel;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 5 != 0) f.visits.push_back(static_cast<std::uint32_t>(i));
+  }
+  return f;
+}
+
+// DeltaIEpochs' view of a ShardedFixture; records every on-move call.
+struct ShardedView {
+  const ShardedFixture& f;
+  const std::vector<std::uint32_t>& labels;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>>& hook_calls;
+
+  std::pair<const float*, float> Point(std::uint32_t i) const {
+    return {f.data.Row(i), f.norms[i]};
+  }
+  std::span<const Neighbor> Neighbors(std::uint32_t i) const {
+    return f.shards[i % kShards].NeighborsOf(i / kShards);
+  }
+  StridedLabels HarvestLabels(std::uint32_t i) const {
+    return {labels.data() + i % kShards, kShards};
+  }
+  void OnMove(std::uint32_t i, std::uint32_t v) {
+    hook_calls.emplace_back(i, v);
+  }
+  void Prefetch(std::uint32_t) const {}
+};
+
+struct ShardedRun {
+  std::vector<std::uint32_t> labels;
+  double distortion = 0.0;
+  std::vector<std::size_t> moves;  // per epoch
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> hook_calls;
+  DeltaIWork work;
+};
+
+// The fixture's labeled points as a cluster state.
+ClusterState ShardedState(const ShardedFixture& f) {
+  ClusterState state(f.data.cols(), f.k);
+  for (std::size_t i = 0; i < f.labels.size(); ++i) {
+    if (f.labels[i] != kNoLabel) state.AddPoint(f.data.Row(i), f.labels[i]);
+  }
+  return state;
+}
+
+constexpr std::size_t kShardedEpochs = 12;
+constexpr std::uint64_t kShardedSeed = 99;
+// Epochs per driver, as a stream window runs them; the stay cache outlives
+// each driver.
+constexpr std::size_t kEpochsPerDriver = 2;
+
+// Between its epoch calls the stream changes clusters on its own (arrival,
+// expiry, split/merge). Here, after `epochs` epochs, every 100th visited
+// point moves to the next cluster, so stays cached before go stale.
+void MoveBetweenDrivers(const ShardedFixture& f, std::size_t epochs,
+                        std::vector<std::uint32_t>& labels,
+                        ClusterState& state) {
+  for (std::size_t j = epochs % 100; j < f.visits.size(); j += 100) {
+    const std::uint32_t i = f.visits[j];
+    const std::uint32_t u = labels[i];
+    if (u == kNoLabel || state.CountOf(u) < 2) continue;
+    const std::uint32_t v = static_cast<std::uint32_t>((u + 1) % f.k);
+    state.Move(f.data.Row(i), u, v);
+    labels[i] = v;
+  }
+}
+
+// The stream's serial epoch loop: per shuffled visit, skip an unlabeled
+// point or a cluster of one, harvest through the strided labels, and take
+// one DeltaIStep; stop after an epoch without a move.
+ShardedRun ReferenceShardedEpochs(const ShardedFixture& f) {
+  ShardedRun run;
+  run.labels = f.labels;
+  ClusterState state = ShardedState(f);
+  Rng rng(kShardedSeed);
+  std::vector<std::uint32_t> order = f.visits;
+  std::vector<std::uint32_t> stamp(f.k, 0);
+  std::uint32_t cur_stamp = 0;
+  std::vector<std::uint32_t> cand;
+  std::vector<double> gains;
+  for (std::size_t e = 0; e < kShardedEpochs; ++e) {
+    rng.Shuffle(order);
+    std::size_t moves = 0;
+    for (const std::uint32_t i : order) {
+      const std::uint32_t u = run.labels[i];
+      if (u == kNoLabel || state.CountOf(u) < 2) continue;
+      const StridedLabels shard_labels{run.labels.data() + i % kShards,
+                                       kShards};
+      HarvestCandidates(f.shards[i % kShards].NeighborsOf(i / kShards),
+                        f.kappa, shard_labels, u, stamp, ++cur_stamp, cand);
+      if (cand.empty()) continue;
+      const std::uint32_t v =
+          DeltaIStep(state, f.data.Row(i), f.norms[i], u, cand, gains);
+      if (v != u) {
+        run.labels[i] = v;
+        run.hook_calls.emplace_back(i, v);
+        ++moves;
+      }
+    }
+    run.moves.push_back(moves);
+    if (moves == 0) break;
+    if ((e + 1) % kEpochsPerDriver == 0) {
+      MoveBetweenDrivers(f, e + 1, run.labels, state);
+    }
+  }
+  run.distortion = state.Distortion();
+  return run;
+}
+
+// The same epochs through DeltaIEpochs, in blocks on `pool` when given: a
+// driver per kEpochsPerDriver epochs, all sharing one stay cache.
+ShardedRun DriverShardedEpochs(const ShardedFixture& f, ThreadPool* pool) {
+  ShardedRun run;
+  run.labels = f.labels;
+  ClusterState state = ShardedState(f);
+  Rng rng(kShardedSeed);
+  std::vector<std::uint32_t> order = f.visits;
+  DeltaIStayCache cache;
+  bool converged = false;
+  for (std::size_t e = 0; !converged && e < kShardedEpochs;) {
+    DeltaIEpochs<ShardedView> driver({f, run.labels, run.hook_calls}, f.kappa,
+                                     pool, state, run.labels, cache);
+    for (std::size_t d = 0; d < kEpochsPerDriver && !converged; ++d, ++e) {
+      rng.Shuffle(order);
+      const std::size_t moves = driver.Run(order, false);
+      run.moves.push_back(moves);
+      converged = moves == 0;
+    }
+    run.work.cached_stays += driver.work().cached_stays;
+    run.work.proposals_committed += driver.work().proposals_committed;
+    run.work.proposals_recomputed += driver.work().proposals_recomputed;
+    if (!converged) MoveBetweenDrivers(f, e, run.labels, state);
+  }
+  run.distortion = state.Distortion();
+  return run;
+}
+
+// Unlabeled visits and neighbors, a partial visit list, strided labels and
+// a stay cache kept across drivers change nothing: with no pool and on
+// pools of 1-4 workers the drivers reproduce the stream's serial loop, hook
+// calls included.
+TEST(DeltaIEpochsTest, StreamShapedViewMatchesSerialLoop) {
+  const ShardedFixture f = MakeShardedFixture();
+  const ShardedRun want = ReferenceShardedEpochs(f);
+  ASSERT_GT(want.moves.size(), 2u);
+  ASSERT_FALSE(want.hook_calls.empty());
+  for (std::size_t workers = 0; workers <= 4; ++workers) {
+    SCOPED_TRACE(workers);
+    std::unique_ptr<ThreadPool> pool;
+    if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
+    const ShardedRun got = DriverShardedEpochs(f, pool.get());
+    EXPECT_EQ(got.labels, want.labels);
+    EXPECT_EQ(Bits(got.distortion), Bits(want.distortion));
+    EXPECT_EQ(got.moves, want.moves);
+    EXPECT_EQ(got.hook_calls, want.hook_calls);
+    EXPECT_GT(got.work.cached_stays, 0u);
+    // Without a pool nothing goes stale; with one, some decisions do.
+    if (workers == 0) {
+      EXPECT_EQ(got.work.proposals_recomputed, 0u);
+    } else {
+      EXPECT_GT(got.work.proposals_recomputed, 0u);
+    }
+  }
+}
+
+// A driver run to convergence leaves a stay in the kept cache for every
+// visited point it scored. After clusters change between drivers, the
+// next driver must read all of them as stale, and so match a driver that
+// starts from a fresh cache.
+TEST(DeltaIEpochsTest, KeptStayCacheReadsEarlierStaysAsStale) {
+  const ShardedFixture f = MakeShardedFixture();
+  std::vector<std::uint32_t> labels = f.labels;
+  ClusterState state = ShardedState(f);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> hooks;
+  Rng rng(kShardedSeed);
+  std::vector<std::uint32_t> order = f.visits;
+  DeltaIStayCache kept;
+  {
+    DeltaIEpochs<ShardedView> driver({f, labels, hooks}, f.kappa, nullptr,
+                                     state, labels, kept);
+    std::size_t moves = 1;
+    for (std::size_t e = 0; e < 50 && moves > 0; ++e) {
+      rng.Shuffle(order);
+      moves = driver.Run(order, false);
+    }
+    ASSERT_EQ(moves, 0u);
+  }
+  MoveBetweenDrivers(f, 0, labels, state);
+  rng.Shuffle(order);
+
+  std::vector<std::uint32_t> fresh_labels = labels;
+  ClusterState fresh_state = state;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> fresh_hooks;
+  DeltaIStayCache fresh;
+  DeltaIEpochs<ShardedView> with_kept({f, labels, hooks}, f.kappa, nullptr,
+                                      state, labels, kept);
+  DeltaIEpochs<ShardedView> with_fresh({f, fresh_labels, fresh_hooks},
+                                       f.kappa, nullptr, fresh_state,
+                                       fresh_labels, fresh);
+  const std::size_t moves = with_kept.Run(order, false);
+  EXPECT_GT(moves, 0u);
+  EXPECT_EQ(moves, with_fresh.Run(order, false));
+  EXPECT_EQ(labels, fresh_labels);
+  EXPECT_EQ(with_kept.work().cached_stays, 0u);
 }
 
 }  // namespace
